@@ -12,29 +12,13 @@
  * process), and the re-executed-trial count stays <= K with the
  * default checkpoint cadence of 1.
  *
- * A second sweep exercises the evaluation fleet: the CLI runs with
- * --workers 4 and the master SIGKILLs K of its own worker processes
- * mid-search (--worker-chaos-kills). Here the master survives, so the
- * cost of a kill is a respawn plus one replayed request — outputs
- * must again be byte-identical to the in-process baseline.
- *
- * A third sweep exercises the multi-host TCP transport: the master
- * listens on localhost, two worker PROCESSES dial it through the
- * chaos proxy, and each row applies a different network-fault profile
- * (clean TCP, added latency, frame drops, hard partitions, and the
- * full storm). The row reports wall-clock overhead versus in-process,
- * the transport's fault ledger (lost connections, reconnects, stale /
- * torn / corrupt frames) and round-trips per acked op — and asserts
- * byte-identical records at every profile.
- *
- * All sweeps land in BENCH_chaos.json (machine-readable, uploaded by
+ * The sweep lands in BENCH_chaos.json (machine-readable, uploaded by
  * CI next to BENCH_micro.json) in addition to the console table and
  * the optional --csv file.
  *
- * Usage: bench_chaos [--kills "0,1,2,4,8"] [--worker-kills "0,2,4,8"]
- *                    [--workers 4] [--iters N] [--batch N] [--bmax B]
- *                    [--seed S] [--csv out.csv]
- *                    [--json BENCH_chaos.json] [--no-net]
+ * Usage: bench_chaos [--kills "0,1,2,4,8"] [--iters N] [--batch N]
+ *                    [--bmax B] [--seed S] [--csv out.csv]
+ *                    [--json BENCH_chaos.json]
  */
 
 #if defined(_WIN32)
@@ -49,7 +33,6 @@ main()
 
 #else
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -69,9 +52,6 @@ main()
 
 #ifndef UNICO_CLI_PATH
 #define UNICO_CLI_PATH "./examples/co_search_cli"
-#endif
-#ifndef UNICO_PROXY_PATH
-#define UNICO_PROXY_PATH "./examples/chaos_proxy"
 #endif
 
 namespace {
@@ -148,24 +128,6 @@ runMaybeKill(const std::vector<std::string> &args, int delay_ms,
     return false;
 }
 
-/** Numeric column from a one-row fault-ledger CSV; 0 if absent. */
-std::uint64_t
-faultsCsvColumn(const std::string &path, const std::string &name)
-{
-    const std::string text = readFile(path);
-    const auto nl = text.find('\n');
-    if (nl == std::string::npos)
-        return 0;
-    std::istringstream head(text.substr(0, nl));
-    std::istringstream row(text.substr(nl + 1));
-    std::string col, val;
-    while (std::getline(head, col, ',') &&
-           std::getline(row, val, ','))
-        if (col == name)
-            return std::strtoull(val.c_str(), nullptr, 10);
-    return 0;
-}
-
 std::vector<int>
 parseIntList(const std::string &csv)
 {
@@ -175,35 +137,6 @@ parseIntList(const std::string &csv)
     while (std::getline(iss, tok, ','))
         out.push_back(std::atoi(tok.c_str()));
     return out;
-}
-
-/** Poll @p path until it holds a positive port number; -1 on timeout. */
-int
-awaitPortFile(const std::string &path, double wait_s = 30.0)
-{
-    for (int i = 0; i < static_cast<int>(wait_s * 100); ++i) {
-        std::ifstream in(path);
-        int port = 0;
-        if (in >> port && port > 0)
-            return port;
-        usleep(10 * 1000);
-    }
-    return -1;
-}
-
-/** Reap @p pid within @p wait_s seconds; SIGKILL + -3 on overrun. */
-int
-reapWithin(pid_t pid, double wait_s)
-{
-    int status = 0;
-    for (int i = 0; i < static_cast<int>(wait_s * 100); ++i) {
-        if (waitpid(pid, &status, WNOHANG) == pid)
-            return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        usleep(10 * 1000);
-    }
-    kill(pid, SIGKILL);
-    waitpid(pid, &status, 0);
-    return -3;
 }
 
 /** Completed trials recorded in the newest valid checkpoint. */
@@ -233,10 +166,6 @@ main(int argc, char **argv)
     const std::string seed = std::to_string(args.getInt("seed", 3));
     const std::vector<int> kill_counts =
         parseIntList(args.getString("kills", "0,1,2,4,8"));
-    const std::vector<int> worker_kill_counts =
-        parseIntList(args.getString("worker-kills", "0,2,4,8"));
-    const std::string workers =
-        std::to_string(args.getInt("workers", 4));
 
     const std::string dir = "/tmp/unico_bench_chaos";
     mkdir(dir.c_str(), 0755);
@@ -362,220 +291,6 @@ main(int argc, char **argv)
     std::printf("(baseline %.1f ms, %d trials)\n", base_ms,
                 total_trials);
 
-    // --- Fleet sweep: same search served by worker processes; the
-    // master SIGKILLs K of them at deterministic points mid-run. The
-    // master survives, so there is no resume loop — a kill costs a
-    // respawn plus one replayed request, never a result.
-    std::printf("\nWorker-kill sweep (fleet mode, --workers %s)\n",
-                workers.c_str());
-    std::printf("%6s %10s %10s %8s %9s %8s %10s\n", "kills",
-                "wall(ms)", "overhead", "crashes", "respawns",
-                "rt/eval", "identical");
-    csv << "worker_kills,wall_ms,overhead_x,crashes,respawns,"
-           "round_trips,ops_applied,round_trips_per_eval,identical\n";
-    for (const int wkills : worker_kill_counts) {
-        const std::string tag = "w" + std::to_string(wkills);
-        cleanup(tag);
-        auto a = cli(tag, false);
-        a.insert(a.end(), {"--workers", workers,
-                           "--worker-chaos-kills",
-                           std::to_string(wkills)});
-        const auto start = std::chrono::steady_clock::now();
-        runMaybeKill(a, -1, code);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (code != 0) {
-            std::cerr << tag << ": run failed (" << code << ")\n";
-            return 1;
-        }
-        const bool identical =
-            readFile(dir + "/" + tag + "_records.csv") ==
-            base_records;
-        if (!identical) {
-            std::cerr << tag
-                      << ": records diverged from baseline\n";
-            return 1;
-        }
-        const std::uint64_t crashes = faultsCsvColumn(
-            dir + "/" + tag + "_faults.csv", "worker_crashes");
-        const std::uint64_t respawns = faultsCsvColumn(
-            dir + "/" + tag + "_faults.csv", "worker_respawns");
-        // Batching leverage: with op coalescing one framed round-trip
-        // carries several mutating ops, so round-trips per acked op
-        // drops well below the 1.0 a per-op protocol pays.
-        const std::uint64_t round_trips = faultsCsvColumn(
-            dir + "/" + tag + "_faults.csv", "request_round_trips");
-        const std::uint64_t ops_applied = faultsCsvColumn(
-            dir + "/" + tag + "_faults.csv", "ops_applied");
-        const double rt_per_eval =
-            static_cast<double>(round_trips) /
-            static_cast<double>(std::max<std::uint64_t>(1, ops_applied));
-        std::printf("%6d %10.1f %9.2fx %8llu %9llu %8.3f %10s\n",
-                    wkills, wall_ms, wall_ms / base_ms,
-                    static_cast<unsigned long long>(crashes),
-                    static_cast<unsigned long long>(respawns),
-                    rt_per_eval, identical ? "yes" : "NO");
-        csv << wkills << ',' << wall_ms << ',' << wall_ms / base_ms
-            << ',' << crashes << ',' << respawns << ',' << round_trips
-            << ',' << ops_applied << ',' << rt_per_eval << ','
-            << (identical ? 1 : 0) << "\n";
-        auto row = unico::common::Json::object();
-        row["name"] =
-            "chaos/worker_kills/" + std::to_string(wkills);
-        row["run_type"] = "iteration";
-        row["workers"] = std::atoi(workers.c_str());
-        row["kills"] = wkills;
-        row["real_time"] = wall_ms;
-        row["time_unit"] = "ms";
-        row["overhead_x"] = wall_ms / base_ms;
-        row["worker_crashes"] = crashes;
-        row["worker_respawns"] = respawns;
-        row["request_round_trips"] = round_trips;
-        row["ops_applied"] = ops_applied;
-        row["round_trips_per_eval"] = rt_per_eval;
-        row["identical"] = identical;
-        bench_json.push(std::move(row));
-        cleanup(tag);
-    }
-
-    // --- Network-fault sweep: real master + worker PROCESSES over
-    // TCP through the chaos proxy. Each profile stresses one fault
-    // class; "storm" layers all of them. Identity vs the in-process
-    // baseline is asserted at every row.
-    if (!args.has("no-net")) {
-        struct NetProfile
-        {
-            const char *name;
-            const char *chaos;
-        };
-        const NetProfile profiles[] = {
-            {"tcp_clean", "seed=7"},
-            {"delay", "seed=7,delay=0.5:0.01"},
-            {"drop", "seed=7,drop=0.05"},
-            {"partition", "seed=7,partition=80:0.3"},
-            {"storm", "seed=7,drop=0.02,tear=0.01,flip=0.02,dup=0.05,"
-                      "reorder=0.05,delay=0.2:0.005,partition=100:0.3"},
-        };
-        std::printf("\nNetwork-fault sweep (TCP fleet through chaos "
-                    "proxy, 2 workers)\n");
-        std::printf("%10s %10s %10s %6s %6s %7s %8s %10s\n", "profile",
-                    "wall(ms)", "overhead", "lost", "reconn", "stale",
-                    "rt/eval", "identical");
-        csv << "net_profile,wall_ms,overhead_x,connections_lost,"
-               "reconnects,stale_frames,torn_frames,corrupt_frames,"
-               "round_trips_per_eval,identical\n";
-        for (const NetProfile &p : profiles) {
-            const std::string tag = std::string("n_") + p.name;
-            cleanup(tag);
-            std::remove((dir + "/master.port").c_str());
-            std::remove((dir + "/proxy.port").c_str());
-
-            auto margs = cli(tag, false);
-            margs.insert(margs.end(),
-                         {"--workers", "2", "--fleet-listen",
-                          "127.0.0.1:0", "--fleet-connect-wait", "30",
-                          "--fleet-reconnect-wait", "2",
-                          "--worker-eval-deadline", "2", "--threads",
-                          "2", "--fleet-port-file",
-                          dir + "/master.port"});
-            const auto start = std::chrono::steady_clock::now();
-            const pid_t master = spawn(margs);
-            const int mport = awaitPortFile(dir + "/master.port");
-            if (mport <= 0) {
-                std::cerr << tag << ": master never published a port\n";
-                return 1;
-            }
-            const pid_t proxy = spawn(
-                {UNICO_PROXY_PATH, "--upstream",
-                 "127.0.0.1:" + std::to_string(mport), "--port-file",
-                 dir + "/proxy.port", "--chaos", p.chaos});
-            const int pport = awaitPortFile(dir + "/proxy.port");
-            if (pport <= 0) {
-                std::cerr << tag << ": proxy never published a port\n";
-                return 1;
-            }
-            std::vector<pid_t> ws;
-            for (int i = 0; i < 2; ++i)
-                ws.push_back(spawn(
-                    {UNICO_CLI_PATH, "resnet", "--fleet-connect",
-                     "127.0.0.1:" + std::to_string(pport),
-                     "--fleet-reconnect-attempts", "40",
-                     "--fleet-reconnect-max", "0.5"}));
-            const int mcode = reapWithin(master, 600.0);
-            const double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            kill(proxy, SIGTERM);
-            reapWithin(proxy, 30.0);
-            for (const pid_t w : ws)
-                reapWithin(w, 120.0);
-            if (mcode != 0) {
-                std::cerr << tag << ": master failed (" << mcode
-                          << ")\n";
-                return 1;
-            }
-            const bool identical =
-                readFile(dir + "/" + tag + "_records.csv") ==
-                base_records;
-            if (!identical) {
-                std::cerr << tag
-                          << ": records diverged from baseline\n";
-                return 1;
-            }
-            const std::string faults = dir + "/" + tag + "_faults.csv";
-            const std::uint64_t lost =
-                faultsCsvColumn(faults, "connections_lost");
-            const std::uint64_t reconnects =
-                faultsCsvColumn(faults, "reconnects");
-            const std::uint64_t stale =
-                faultsCsvColumn(faults, "stale_frames");
-            const std::uint64_t torn =
-                faultsCsvColumn(faults, "torn_frames");
-            const std::uint64_t corrupt =
-                faultsCsvColumn(faults, "corrupt_frames");
-            const std::uint64_t round_trips =
-                faultsCsvColumn(faults, "request_round_trips");
-            const std::uint64_t ops_applied =
-                faultsCsvColumn(faults, "ops_applied");
-            const double rt_per_eval =
-                static_cast<double>(round_trips) /
-                static_cast<double>(
-                    std::max<std::uint64_t>(1, ops_applied));
-            std::printf(
-                "%10s %10.1f %9.2fx %6llu %6llu %7llu %8.3f %10s\n",
-                p.name, wall_ms, wall_ms / base_ms,
-                static_cast<unsigned long long>(lost),
-                static_cast<unsigned long long>(reconnects),
-                static_cast<unsigned long long>(stale), rt_per_eval,
-                identical ? "yes" : "NO");
-            csv << p.name << ',' << wall_ms << ','
-                << wall_ms / base_ms << ',' << lost << ','
-                << reconnects << ',' << stale << ',' << torn << ','
-                << corrupt << ',' << rt_per_eval << ','
-                << (identical ? 1 : 0) << "\n";
-            auto row = unico::common::Json::object();
-            row["name"] = std::string("chaos/net/") + p.name;
-            row["run_type"] = "iteration";
-            row["chaos_profile"] = p.chaos;
-            row["real_time"] = wall_ms;
-            row["time_unit"] = "ms";
-            row["overhead_x"] = wall_ms / base_ms;
-            row["connections_lost"] = lost;
-            row["reconnects"] = reconnects;
-            row["stale_frames"] = stale;
-            row["torn_frames"] = torn;
-            row["corrupt_frames"] = corrupt;
-            row["request_round_trips"] = round_trips;
-            row["ops_applied"] = ops_applied;
-            row["round_trips_per_eval"] = rt_per_eval;
-            row["identical"] = identical;
-            bench_json.push(std::move(row));
-            cleanup(tag);
-        }
-    }
     cleanup("base");
 
     // Machine-readable output next to BENCH_micro.json; CI uploads it

@@ -17,7 +17,6 @@
 
 #include "common/fault.hh"
 #include "core/fault_env.hh"
-#include "core/fleet.hh"
 
 using namespace unico;
 
@@ -113,62 +112,5 @@ main(int argc, char **argv)
     std::cout << "\nExpected: every run completes; HV/HV0 stays near "
                  "1.0 at moderate rates while hours grow with the "
                  "injected load.\n";
-
-#if !defined(_WIN32)
-    // --- Transport layer: rerun the mixed-injection sweep through
-    // the evaluation fleet, with and without worker SIGKILLs. The
-    // claim under test is stronger than graceful degradation: the
-    // trajectory must be BIT-IDENTICAL to the in-process run above,
-    // with the transport ledger absorbing all topology-level faults.
-    std::cout << "\nTransport fault absorption (fleet mode, "
-                 "mixed 20% injection)\n\n";
-    const auto &mixed = results.back(); // in-process mixed-20% run
-    struct FleetSweep
-    {
-        const char *label;
-        std::size_t workers;
-        int kills;
-    };
-    const FleetSweep fleet_sweeps[] = {
-        {"2 workers", 2, 0},
-        {"4 workers", 4, 0},
-        {"4 workers + 6 kills", 4, 6},
-    };
-    common::TableWriter ftable({"fleet", "crashes", "respawns",
-                                "steals", "local", "identical"});
-    for (const auto &sw : fleet_sweeps) {
-        common::FaultSpec spec;
-        spec.transientRate = 0.10;
-        spec.hangRate = 0.05;
-        spec.corruptRate = 0.05;
-        spec.seed = opt.seed + 1000;
-        core::FaultyEnv faulty(*env, common::FaultPlan(spec));
-        core::FleetConfig fc;
-        fc.workers = sw.workers;
-        fc.chaosKills = sw.kills;
-        core::FleetEnv fleet(faulty, fc);
-        core::CoOptimizer driver(fleet, cfg);
-        const auto res = driver.run();
-        const auto ts = fleet.transportStats();
-        bool identical = res.records.size() == mixed.records.size() &&
-                         res.totalHours == mixed.totalHours &&
-                         res.evaluations == mixed.evaluations;
-        for (std::size_t i = 0;
-             identical && i < res.records.size(); ++i)
-            identical = res.records[i].hw == mixed.records[i].hw &&
-                        res.records[i].ppa.latencyMs ==
-                            mixed.records[i].ppa.latencyMs &&
-                        res.records[i].budgetSpent ==
-                            mixed.records[i].budgetSpent;
-        ftable.addRow({sw.label, std::to_string(ts.workerCrashes),
-                       std::to_string(ts.workerRespawns),
-                       std::to_string(ts.workSteals),
-                       std::to_string(ts.inprocFallbacks),
-                       identical ? "yes" : "NO"});
-    }
-    ftable.print(std::cout);
-    std::cout << "\nExpected: every fleet row is identical=yes — "
-                 "worker kills cost respawns, never results.\n";
-#endif
     return 0;
 }

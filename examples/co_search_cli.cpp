@@ -19,32 +19,15 @@
  *                 [--fault-rate F] [--hang-rate F] [--corrupt-rate F] \
  *                 [--fault-seed S] [--checkpoint FILE] [--resume] \
  *                 [--checkpoint-every N] [--checkpoint-keep K] \
- *                 [--wall-deadline SEC] [--eval-wall-deadline SEC] \
- *                 [--workers N] [--worker-eval-deadline SEC] \
- *                 [--worker-chaos-kills K] [--worker-chaos-seed S] \
- *                 [--fleet-listen HOST:PORT] [--fleet-port-file FILE] \
- *                 [--fleet-connect HOST:PORT]
+ *                 [--wall-deadline SEC] [--eval-wall-deadline SEC]
  *
- * Evaluation fleet: --workers N forks N evaluation worker processes
- * (master/worker over CRC-framed socketpairs, Sec. 3.5's cluster
- * deployment in miniature). Worker crashes, hangs and corrupt
- * responses are absorbed by respawn + deterministic replay, so
- * results — records, front, trace CSVs and checkpoints — are
- * byte-identical to the in-process run for any worker count, even
- * under --worker-chaos-kills, which SIGKILLs live workers mid-search
- * at seeded points to prove exactly that.
- *
- * Multi-host fleet: --fleet-listen HOST:PORT (with --workers N)
- * switches the master from forked workers to a TCP listener that
- * adopts N remote workers as they dial in (":0" picks a free port;
- * --fleet-port-file writes the resolved port for scripts). On another
- * host — or through the chaos_proxy binary — start workers with the
- * SAME workload/backend/scenario flags plus --fleet-connect
- * HOST:PORT: the handshake refuses a worker whose stack identity
- * (backend, scenario, workload digest) differs, and a worker that
- * loses its connection reconnects with jittered exponential backoff
- * and resumes exactly-once via op-history replay. Results stay
- * byte-identical to the in-process run through all of it.
+ * Parallelism: Sec. 3.5's master/worker execution runs in-process.
+ * --threads T dispatches each successive-halving round's per-HW
+ * mapping searches across T threads, and --batch-evals N (below)
+ * fans cold evaluations out inside each search. Records, front,
+ * trace CSVs and checkpoints are byte-identical for any T and N.
+ * The flags of the removed process/TCP evaluation fleet (--workers,
+ * --worker-*, --fleet-*) are rejected with a usage error.
  *
  * Fault tolerance: the --*-rate flags wrap the environment in a
  * deterministic fault injector (per-evaluation crash/hang/corrupt
@@ -65,10 +48,7 @@
  * exploration, genetic seeding) across N threads on a pool separate
  * from --threads' round-dispatch pool. The deterministic batch
  * contract keeps every record, front, trace CSV and checkpoint
- * byte-identical to the serial run; only wall-clock changes. The pool
- * is lazily constructed in whichever process evaluates first, so it
- * composes with --workers (the fleet zygote forks before any thread
- * exists).
+ * byte-identical to the serial run; only wall-clock changes.
  *
  * Evaluation cache: PPA queries are memoized in a sharded LRU cache
  * (--cache-mb sets the byte budget, default 64 MB; --no-cache
@@ -103,7 +83,6 @@
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "core/fault_env.hh"
-#include "core/fleet.hh"
 #include "core/report.hh"
 #include "surrogate/learned_model.hh"
 #include "workload/model_zoo.hh"
@@ -134,10 +113,6 @@ usage(const char *prog)
            "  [--checkpoint FILE] [--resume] [--checkpoint-every N]"
            " [--checkpoint-keep K]\n"
            "  [--wall-deadline SEC] [--eval-wall-deadline SEC]\n"
-           "  [--workers N] [--worker-eval-deadline SEC]"
-           " [--worker-chaos-kills K] [--worker-chaos-seed S]\n"
-           "  [--fleet-listen HOST:PORT] [--fleet-port-file FILE]"
-           " [--fleet-connect HOST:PORT]\n"
            "backends: ";
     for (const auto &name : core::backendNames())
         std::cerr << name << " ";
@@ -154,6 +129,20 @@ int
 main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
+
+    // The process/TCP evaluation fleet was removed; its flags must
+    // fail loudly, not be ignored (a stale --fleet-connect would
+    // otherwise start a full search of its own).
+    for (const std::string &name : args.optionNames()) {
+        if (name == "workers" || name.rfind("worker-", 0) == 0 ||
+            name.rfind("fleet-", 0) == 0) {
+            std::cerr << "error: --" << name
+                      << " was removed with the evaluation fleet; "
+                         "use --threads T (parallel SH rounds) and "
+                         "--batch-evals N (parallel cold evaluations)\n";
+            return usage(args.program().c_str());
+        }
+    }
 
     // Workload list: every positional arg and every --model /
     // --workload option value.
@@ -192,17 +181,15 @@ main(int argc, char **argv)
 
     // Batched cold evaluation: --batch-evals N fans the engines'
     // evaluation-independent candidate blocks across N threads,
-    // byte-identical to serial. Lazy handle: no thread exists before
-    // the fleet zygote forks, and each evaluating process (master or
-    // fleet worker) materializes its own pool on first use.
+    // byte-identical to serial.
     const std::int64_t batch_evals = args.getInt("batch-evals", 0);
     if (batch_evals < 0 || batch_evals > 1024) {
         std::cerr << "error: --batch-evals must be 0..1024\n";
         return usage(args.program().c_str());
     }
-    std::unique_ptr<common::LazyThreadPool> eval_pool;
+    std::unique_ptr<common::ThreadPool> eval_pool;
     if (batch_evals > 0) {
-        eval_pool = std::make_unique<common::LazyThreadPool>(
+        eval_pool = std::make_unique<common::ThreadPool>(
             static_cast<std::size_t>(batch_evals));
         env_opt.evalPool = eval_pool.get();
     }
@@ -266,95 +253,12 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("fault-seed", 7));
     core::FaultyEnv faulty_env(*backend_env,
                                common::FaultPlan(fault_spec));
-    core::CoSearchEnv &base_env =
+    core::CoSearchEnv &env =
         fault_spec.active() ? static_cast<core::CoSearchEnv &>(faulty_env)
                             : *backend_env;
     if (fault_spec.active())
         std::cout << "fault injection: "
                   << faulty_env.plan().describe() << "\n";
-
-    // Remote worker mode: this process serves evaluations for a
-    // master elsewhere instead of searching itself. It must be built
-    // with the SAME workload/backend/scenario flags — the handshake
-    // verifies the stack identity and refuses a mismatch, because a
-    // worker on the wrong workload would silently diverge the search.
-    const std::string fleet_connect =
-        args.getString("fleet-connect", "");
-    if (!fleet_connect.empty()) {
-        core::FleetWorkerOptions wopts;
-        wopts.connectAddr = fleet_connect;
-        wopts.connectDeadlineSeconds =
-            args.getDouble("fleet-connect-deadline", 10.0);
-        wopts.maxReconnectAttempts = static_cast<int>(
-            args.getInt("fleet-reconnect-attempts", 10));
-        wopts.reconnectMaxSeconds =
-            args.getDouble("fleet-reconnect-max", 2.0);
-        std::cout << "fleet worker: dialing " << fleet_connect << "\n";
-        const int rc = core::runFleetWorkerClient(base_env, wopts);
-        if (rc == 1)
-            std::cerr << "error: master at " << fleet_connect
-                      << " unreachable\n";
-        else if (rc == 2)
-            std::cerr << "error: master refused this worker's stack "
-                         "identity (wrong workload/backend/scenario)\n";
-        return rc;
-    }
-
-    // Optional evaluation fleet: fork worker processes NOW, while the
-    // process is still single-threaded (the zygote must precede the
-    // driver's thread pool). Results are byte-identical to the
-    // in-process path for any worker count.
-    std::unique_ptr<core::FleetEnv> fleet_env;
-    const std::int64_t workers_arg = args.getInt("workers", 0);
-    const double worker_deadline =
-        args.getDouble("worker-eval-deadline", 30.0);
-    const std::int64_t worker_kills =
-        args.getInt("worker-chaos-kills", 0);
-    if (workers_arg < 0 || workers_arg > 1024 || worker_kills < 0 ||
-        !(worker_deadline > 0.0)) {
-        std::cerr << "error: --workers must be 0..1024, "
-                     "--worker-chaos-kills >= 0 and "
-                     "--worker-eval-deadline > 0\n";
-        return usage(args.program().c_str());
-    }
-    const auto fleet_workers = static_cast<std::size_t>(workers_arg);
-    const std::string fleet_listen = args.getString("fleet-listen", "");
-    if (!fleet_listen.empty() && fleet_workers == 0) {
-        std::cerr << "error: --fleet-listen requires --workers N\n";
-        return usage(args.program().c_str());
-    }
-    if (fleet_workers > 0) {
-        core::FleetConfig fleet_cfg;
-        fleet_cfg.workers = fleet_workers;
-        fleet_cfg.requestDeadlineSeconds = worker_deadline;
-        fleet_cfg.chaosKills = static_cast<int>(worker_kills);
-        fleet_cfg.chaosSeed = static_cast<std::uint64_t>(
-            args.getInt("worker-chaos-seed", 0x5eed));
-        fleet_cfg.listenAddr = fleet_listen;
-        fleet_cfg.connectWaitSeconds =
-            args.getDouble("fleet-connect-wait", 30.0);
-        fleet_cfg.reconnectWaitSeconds =
-            args.getDouble("fleet-reconnect-wait", 5.0);
-        // Written by the transport the moment the bind resolves —
-        // BEFORE the constructor below blocks waiting for workers,
-        // who need the port to dial in.
-        fleet_cfg.listenPortFile =
-            args.getString("fleet-port-file", "");
-        fleet_env =
-            std::make_unique<core::FleetEnv>(base_env, fleet_cfg);
-        std::cout << "evaluation fleet: " << fleet_env->liveWorkers()
-                  << "/" << fleet_workers << " workers";
-        if (!fleet_listen.empty())
-            std::cout << " (tcp port " << fleet_env->listenPort()
-                      << ")";
-        if (fleet_cfg.chaosKills > 0)
-            std::cout << " (chaos: " << fleet_cfg.chaosKills
-                      << " kills, seed " << fleet_cfg.chaosSeed << ")";
-        std::cout << "\n";
-    }
-    core::CoSearchEnv &env =
-        fleet_env ? static_cast<core::CoSearchEnv &>(*fleet_env)
-                  : base_env;
 
     const std::string algo = args.getString("algo", "unico");
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
@@ -394,9 +298,8 @@ main(int argc, char **argv)
             args.getDouble("eval-wall-deadline", 0.0);
         // Graceful shutdown: SIGINT/SIGTERM cancel this token; the
         // driver drains, checkpoints and returns with interrupted
-        // state instead of dying mid-write. Scoped install — this is
-        // deliberately after the fleet fork point (handlers must not
-        // leak into workers) and stays live through the run.
+        // state instead of dying mid-write. Scoped install that stays
+        // live through the run.
         common::ShutdownScope shutdown_scope;
         cfg.cancel = &common::shutdownToken();
 
@@ -445,12 +348,10 @@ main(int argc, char **argv)
                       << "\n";
         } else if (result.faults.total() > 0 ||
                    result.faults.gpFallbacks > 0 ||
-                   result.faults.checkpointRecoveries > 0 ||
-                   result.faults.transport.total() > 0 ||
-                   result.faults.transport.workerRespawns > 0) {
+                   result.faults.checkpointRecoveries > 0) {
             // Genuine (non-injected) faults — watchdog timeouts, GP
-            // fit fallbacks, checkpoint recoveries, transport faults
-            // the fleet absorbed — also deserve a digest.
+            // fit fallbacks, checkpoint recoveries — also deserve a
+            // digest.
             std::cout << "\nrecovered " << core::toString(result.faults)
                       << "\n";
         }
@@ -501,8 +402,8 @@ main(int argc, char **argv)
         if (env.evalCache() != nullptr)
             ok = ok &&
                  core::writeCacheCsv(result, prefix + "_cache.csv");
-        // Likewise the fault ledger (supervisor + transport): its
-        // counters legitimately differ across execution topologies.
+        // Likewise the fault ledger: a resume that skipped a corrupt
+        // checkpoint generation counts the recovery there.
         ok = ok && core::writeFaultsCsv(result, prefix + "_faults.csv");
         std::cout << (ok ? "\ncsv written to " : "\ncsv write FAILED: ")
                   << prefix << "_{records,front,trace}.csv\n";

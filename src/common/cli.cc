@@ -28,6 +28,15 @@ CliArgs::CliArgs(int argc, const char *const *argv)
     }
 }
 
+std::vector<std::string>
+CliArgs::optionNames() const
+{
+    std::vector<std::string> names;
+    for (const auto &[name, value] : options_)
+        names.push_back(name);
+    return names;
+}
+
 bool
 CliArgs::has(const std::string &name) const
 {

@@ -38,6 +38,9 @@ class CliArgs
     /** Floating-point value of --name or @p fallback. */
     double getDouble(const std::string &name, double fallback) const;
 
+    /** Names of every option given (without "--"), sorted. */
+    std::vector<std::string> optionNames() const;
+
     /** Positional (non-option) arguments in order. */
     const std::vector<std::string> &positional() const { return positional_; }
 

@@ -27,20 +27,12 @@ toString(IoStatus status)
 
 #if defined(_WIN32)
 
-// The evaluation fleet is POSIX-only; the helpers exist on Windows so
+// Descriptor I/O is POSIX-only; the helpers exist on Windows so
 // common code links, but always report failure.
 double
 monotonicNow()
 {
     return 0.0;
-}
-
-IoStatus
-readFull(int, void *, std::size_t, std::size_t *got)
-{
-    if (got)
-        *got = 0;
-    return IoStatus::Error;
 }
 
 IoStatus
@@ -64,14 +56,6 @@ waitReadable(int, double)
 IoStatus
 waitWritable(int, double)
 {
-    return IoStatus::Error;
-}
-
-IoStatus
-readFullDeadline(int, void *, std::size_t, double, std::size_t *got)
-{
-    if (got)
-        *got = 0;
     return IoStatus::Error;
 }
 
@@ -103,12 +87,6 @@ setNonblocking(int, bool)
 
 bool
 setCloexec(int, bool)
-{
-    return false;
-}
-
-bool
-makeSocketPair(int[2])
 {
     return false;
 }
@@ -164,13 +142,6 @@ waitUntil(int fd, short events, double deadline_monotonic)
 } // namespace
 
 IoStatus
-readFull(int fd, void *buf, std::size_t len, std::size_t *got)
-{
-    // Unbounded read = absolute-deadline read with no deadline.
-    return readFullUntil(fd, buf, len, 0.0, got);
-}
-
-IoStatus
 writeFull(int fd, const void *buf, std::size_t len)
 {
     return writeFullUntil(fd, buf, len, 0.0);
@@ -198,17 +169,6 @@ waitWritable(int fd, double deadline_seconds)
                      deadline_seconds > 0.0
                          ? monotonicNow() + deadline_seconds
                          : 0.0);
-}
-
-IoStatus
-readFullDeadline(int fd, void *buf, std::size_t len,
-                 double deadline_seconds, std::size_t *got)
-{
-    return readFullUntil(fd, buf, len,
-                         deadline_seconds > 0.0
-                             ? monotonicNow() + deadline_seconds
-                             : 0.0,
-                         got);
 }
 
 IoStatus
@@ -278,7 +238,7 @@ writeFullUntil(int fd, const void *buf, std::size_t len,
         if (bounded) {
             // Wait-first: bounds the stall on blocking fds too (a
             // fully nonblocking fd would surface it as EAGAIN below,
-            // but fleet channels must not depend on fd flags).
+            // but callers must not depend on fd flags).
             const IoStatus ready =
                 waitUntil(fd, POLLOUT, deadline_monotonic);
             if (ready != IoStatus::Ok)
@@ -336,16 +296,6 @@ setCloexec(int fd, bool enable)
     const int next =
         enable ? (flags | FD_CLOEXEC) : (flags & ~FD_CLOEXEC);
     return ::fcntl(fd, F_SETFD, next) == 0;
-}
-
-bool
-makeSocketPair(int fds[2])
-{
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        return false;
-    setCloexec(fds[0]);
-    setCloexec(fds[1]);
-    return true;
 }
 
 #endif // !_WIN32

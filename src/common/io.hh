@@ -6,9 +6,9 @@
  * syscalls wake up for graceful shutdown), which means *every* raw
  * read/write in the process can short-transfer or fail with EINTR at
  * any time. These loops are the single place that gets the retry
- * logic right; checkpoint durability and the evaluation-fleet
- * transport both build on them instead of hand-rolling partial-I/O
- * handling at each call site.
+ * logic right; checkpoint durability and the job server both build
+ * on them instead of hand-rolling partial-I/O handling at each call
+ * site.
  */
 
 #ifndef UNICO_COMMON_IO_HH
@@ -35,16 +35,6 @@ const char *toString(IoStatus status);
  *  callers composing several transfers under one budget share the
  *  same time base. */
 double monotonicNow();
-
-/**
- * Read exactly @p len bytes into @p buf, retrying short reads,
- * EINTR, and (on non-blocking descriptors) EAGAIN via a readiness
- * wait. Returns Ok, or Eof if the peer closed first (@p got, when
- * non-null, receives the bytes read before EOF — distinguishing a
- * clean close at a message boundary from a torn transfer), or Error.
- */
-IoStatus readFull(int fd, void *buf, std::size_t len,
-                  std::size_t *got = nullptr);
 
 /**
  * Write exactly @p len bytes from @p buf, retrying short writes,
@@ -74,21 +64,15 @@ IoStatus waitReadable(int fd, double deadline_seconds);
 IoStatus waitWritable(int fd, double deadline_seconds);
 
 /**
- * Like readFull, but bounded by one deadline across the whole
- * transfer (<= 0 waits forever). Returns Timeout if it expires
- * mid-message; @p got reports partial progress for torn-transfer
- * diagnostics.
- */
-IoStatus readFullDeadline(int fd, void *buf, std::size_t len,
-                          double deadline_seconds,
-                          std::size_t *got = nullptr);
-
-/**
- * readFull bounded by an *absolute* monotonicNow()-based deadline
- * (<= 0 waits forever). Several transfers passed the same value
- * share one budget — this is what lets a frame read enforce a single
- * deadline across header and payload instead of restarting the clock
- * per readFull call (the slow-loris hole).
+ * Read exactly @p len bytes into @p buf, retrying short reads, EINTR
+ * and (on non-blocking descriptors) EAGAIN via a readiness wait,
+ * bounded by an *absolute* monotonicNow()-based deadline (<= 0 waits
+ * forever). Returns Ok, Eof if the peer closed first, Timeout or
+ * Error; @p got, when non-null, receives the bytes read so far.
+ * Several transfers passed the same value share one budget — this is
+ * what lets a request read enforce a single deadline across header
+ * and body instead of restarting the clock per call (the slow-loris
+ * hole).
  */
 IoStatus readFullUntil(int fd, void *buf, std::size_t len,
                        double deadline_monotonic,
@@ -109,12 +93,6 @@ bool setNonblocking(int fd, bool enable = true);
 
 /** Set (or clear) the close-on-exec flag. Returns false on error. */
 bool setCloexec(int fd, bool enable = true);
-
-/**
- * A connected, bidirectional local socket pair with close-on-exec
- * set on both ends. Returns false on error (errno is set).
- */
-bool makeSocketPair(int fds[2]);
 
 } // namespace unico::common
 

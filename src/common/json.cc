@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -486,18 +485,6 @@ parseHexU64(const std::string &s)
 {
     return static_cast<std::uint64_t>(
         std::strtoull(s.c_str(), nullptr, 16));
-}
-
-std::string
-hexDouble(double v)
-{
-    return hexU64(std::bit_cast<std::uint64_t>(v));
-}
-
-double
-doubleFromHex(const std::string &s)
-{
-    return std::bit_cast<double>(parseHexU64(s));
 }
 
 } // namespace unico::common

@@ -402,7 +402,7 @@ struct CorpusRow
  * in TapStats before blocking.
  *
  * The tap is observability/offline-corpus plumbing only: the online
- * screens train on their own run-local exact evals so that fleet and
+ * screens train on their own run-local exact evals so that serial and
  * threaded runs stay byte-identical. snapshot() returns rows sorted
  * canonically by fingerprint so corpus dumps are reproducible across
  * thread schedules.

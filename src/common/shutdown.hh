@@ -22,9 +22,8 @@
  * job with registerShutdownToken(); the signal handler itself walks
  * the lock-free registration table and cancels every registered
  * token (CancelToken is all lock-free atomics, so this is
- * async-signal-safe — and starting no watcher thread keeps
- * single-threaded fork points such as the evaluation-fleet zygote
- * safe). Tokens registered after the signal arrived are cancelled
+ * async-signal-safe, and no watcher thread is started). Tokens
+ * registered after the signal arrived are cancelled
  * immediately.
  *
  * A second SIGINT/SIGTERM while a graceful shutdown is already in

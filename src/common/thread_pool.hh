@@ -16,7 +16,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -117,44 +116,6 @@ class ThreadPool
     std::vector<std::exception_ptr> failures_;
     std::size_t inFlight_ = 0;
     bool stopping_ = false;
-};
-
-/**
- * Fork-safe lazy pool handle: worker threads are created in the
- * process that first calls get(), not when the handle is
- * constructed. A handle created before a fork point (e.g. before the
- * evaluation fleet's zygote) is therefore safe to share through
- * configuration structs: a process forked while the handle is still
- * dormant inherits no threads, no held locks and no queue, and each
- * process that evaluates builds its own private pool on first use.
- * Do not fork while a get() call may be in flight on another thread.
- */
-class LazyThreadPool
-{
-  public:
-    /** @param threads worker count; 0 selects hardware concurrency. */
-    explicit LazyThreadPool(std::size_t threads = 0) : threads_(threads) {}
-
-    LazyThreadPool(const LazyThreadPool &) = delete;
-    LazyThreadPool &operator=(const LazyThreadPool &) = delete;
-
-    /** The pool, constructed on first call (thread-safe). */
-    ThreadPool &
-    get()
-    {
-        std::call_once(once_, [this] {
-            pool_ = std::make_unique<ThreadPool>(threads_);
-        });
-        return *pool_;
-    }
-
-    /** Configured worker count (0 = hardware concurrency). */
-    std::size_t configuredThreads() const { return threads_; }
-
-  private:
-    std::size_t threads_;
-    std::once_flag once_;
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 /**

@@ -30,7 +30,7 @@
 #include "workload/network.hh"
 
 namespace unico::common {
-class LazyThreadPool;
+class ThreadPool;
 } // namespace unico::common
 
 namespace unico::core {
@@ -62,13 +62,12 @@ struct BackendOptions
     /** Learned surrogate screening context; nullptr (or a disabled
      *  context) keeps the exact-only byte-identical path. */
     surrogate::SurrogateContext *surrogate = nullptr;
-    /** Shared cold-evaluation pool handle; non-null asks backends
-     *  that support it (spatial) to batch evaluation-independent
-     *  candidate blocks across it. Trajectories stay byte-identical
-     *  to serial. Lazy for fork-safety under the evaluation fleet.
+    /** Shared cold-evaluation pool; non-null asks backends that
+     *  support it (spatial) to batch evaluation-independent candidate
+     *  blocks across it. Trajectories stay byte-identical to serial.
      *  Must differ from any pool whose jobs construct or step runs
      *  of the resulting env (nested-wait deadlock). */
-    common::LazyThreadPool *evalPool = nullptr;
+    common::ThreadPool *evalPool = nullptr;
     /** Per-job cancellation token; forwarded into the env so every
      *  MappingRun it creates can return early once the owning job is
      *  cancelled. nullptr = non-cancellable runs (historical

@@ -143,10 +143,6 @@ faultsToJson(const FaultStats &f)
     j["gpFallbacks"] = static_cast<std::size_t>(f.gpFallbacks);
     j["checkpointRecoveries"] =
         static_cast<std::size_t>(f.checkpointRecoveries);
-    // f.transport is deliberately NOT serialized: transport faults
-    // are recovered transparently by the fleet, so a checkpoint (and
-    // therefore a resume) must be byte-identical whether or not
-    // workers were killed along the way.
     return j;
 }
 
@@ -390,8 +386,8 @@ writeDurable(const std::string &path, const std::string &bytes)
         return CheckpointIoStatus::failure("write failed '" + path + "'");
     return CheckpointIoStatus::success();
 #else
-    // O_CLOEXEC: checkpoint descriptors must never leak into fleet
-    // worker processes forked while a save is in flight.
+    // O_CLOEXEC: checkpoint descriptors must never leak into child
+    // processes exec'd while a save is in flight.
     const int fd = ::open(path.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0)

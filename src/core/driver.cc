@@ -32,7 +32,6 @@ FaultStats::merge(const FaultStats &other)
     penalized += other.penalized;
     gpFallbacks += other.gpFallbacks;
     checkpointRecoveries += other.checkpointRecoveries;
-    transport.merge(other.transport);
 }
 
 std::string
@@ -46,28 +45,6 @@ toString(const FaultStats &stats)
         << " penalized=" << stats.penalized
         << " gp_fallbacks=" << stats.gpFallbacks
         << " ckpt_recoveries=" << stats.checkpointRecoveries;
-    if (stats.transport.total() > 0 ||
-        stats.transport.workerRespawns > 0 ||
-        stats.transport.workSteals > 0 ||
-        stats.transport.inprocFallbacks > 0) {
-        oss << " | transport: crashes=" << stats.transport.workerCrashes
-            << " timeouts=" << stats.transport.requestTimeouts
-            << " (hangs=" << stats.transport.workerHangs << ")"
-            << " torn=" << stats.transport.tornFrames
-            << " corrupt=" << stats.transport.corruptFrames
-            << " respawns=" << stats.transport.workerRespawns
-            << " steals=" << stats.transport.workSteals
-            << " local_fallbacks=" << stats.transport.inprocFallbacks;
-        if (stats.transport.connectionsLost > 0 ||
-            stats.transport.connectFailures > 0 ||
-            stats.transport.staleFrames > 0 ||
-            stats.transport.reconnects > 0) {
-            oss << " conn_lost=" << stats.transport.connectionsLost
-                << " conn_fail=" << stats.transport.connectFailures
-                << " stale=" << stats.transport.staleFrames
-                << " reconnects=" << stats.transport.reconnects;
-        }
-    }
     return oss.str();
 }
 
@@ -375,8 +352,6 @@ CoSearch::start()
     // Persistent round-dispatch pool: one set of workers for every SH
     // round of the whole run, instead of a fresh pool per grow_to()
     // call. realThreads <= 1 keeps the historical inline execution.
-    // Constructed here — after the evaluation fleet (if any) forked
-    // its zygote from a single-threaded process.
     if (cfg_.realThreads > 1)
         roundPool_ =
             std::make_unique<common::ThreadPool>(cfg_.realThreads);
@@ -913,11 +888,6 @@ CoSearch::result()
     if (const accel::EvalCache *cache = env_.evalCache())
         result_.cacheStats = cache->stats();
     result_.surrogateStats = env_.surrogateStats();
-    // Snapshot at the very end (after any rollback restored
-    // result_.faults): transport counters live in the env, not in the
-    // per-iteration fault ledger, so an interrupted-iteration
-    // rollback must not erase them.
-    result_.faults.transport = env_.transportStats();
 
     ProgressEvent ev;
     ev.kind = ProgressKind::Finished;

@@ -106,12 +106,6 @@ struct FaultStats
     /** Corrupted/truncated checkpoint generations skipped while
      *  resuming from the rotation window. */
     std::uint64_t checkpointRecoveries = 0;
-    /** Transport-layer faults the evaluation fleet absorbed (worker
-     *  crashes, hangs, torn/corrupt frames) plus its recovery
-     *  actions. Diagnostics only — transport recovery is transparent
-     *  to the search, so these never enter total(), checkpoints, or
-     *  the trajectory CSVs. */
-    common::TransportStats transport;
 
     /** Total faults across categories. */
     std::uint64_t

@@ -114,13 +114,7 @@ class CoSearchEnv
      */
     virtual const accel::EvalCache *evalCache() const { return nullptr; }
 
-    /**
-     * Transport-layer fault counters of the evaluation fleet this
-     * environment evaluates through (all zero for in-process
-     * environments). Like evalCache(): diagnostics the driver
-     * snapshots into the result; decorator environments forward to
-     * the wrapped env.
-     */
+    /** Always empty; see common::TransportStats. */
     virtual common::TransportStats
     transportStats() const
     {

@@ -67,10 +67,6 @@ class FaultyEnv : public CoSearchEnv
     {
         return inner_.surrogateStats();
     }
-    common::TransportStats transportStats() const override
-    {
-        return inner_.transportStats();
-    }
     // Stack identity is the wrapped environment's: fault injection
     // does not change what a checkpoint was computed against.
     std::string backendName() const override;

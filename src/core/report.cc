@@ -164,37 +164,16 @@ bool
 writeFaultsCsv(const CoSearchResult &result, const std::string &path)
 {
     const FaultStats &f = result.faults;
-    const common::TransportStats &t = f.transport;
     common::TableWriter table(
         {"transient", "timeout", "corrupt", "fatal", "retries",
-         "degradations", "penalized", "gp_fallbacks", "ckpt_recoveries",
-         "worker_crashes", "request_timeouts", "worker_hangs",
-         "torn_frames", "corrupt_frames", "worker_respawns",
-         "work_steals", "inproc_fallbacks", "request_round_trips",
-         "ops_applied", "connections_lost", "connect_failures",
-         "stale_frames", "reconnects", "heartbeats"});
+         "degradations", "penalized", "gp_fallbacks", "ckpt_recoveries"});
     table.addRow({std::to_string(f.transient), std::to_string(f.timeout),
                   std::to_string(f.corrupt), std::to_string(f.fatal),
                   std::to_string(f.retries),
                   std::to_string(f.degradations),
                   std::to_string(f.penalized),
                   std::to_string(f.gpFallbacks),
-                  std::to_string(f.checkpointRecoveries),
-                  std::to_string(t.workerCrashes),
-                  std::to_string(t.requestTimeouts),
-                  std::to_string(t.workerHangs),
-                  std::to_string(t.tornFrames),
-                  std::to_string(t.corruptFrames),
-                  std::to_string(t.workerRespawns),
-                  std::to_string(t.workSteals),
-                  std::to_string(t.inprocFallbacks),
-                  std::to_string(t.requestRoundTrips),
-                  std::to_string(t.opsApplied),
-                  std::to_string(t.connectionsLost),
-                  std::to_string(t.connectFailures),
-                  std::to_string(t.staleFrames),
-                  std::to_string(t.reconnects),
-                  std::to_string(t.heartbeats)});
+                  std::to_string(f.checkpointRecoveries)});
     return table.writeCsv(path);
 }
 

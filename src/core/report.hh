@@ -66,10 +66,7 @@ bool writeCacheCsv(const CoSearchResult &result, const std::string &path);
  * Write the fault ledger as a one-row CSV: the evaluation-fault
  * categories the supervisor handled (transient, timeout, corrupt,
  * fatal, retries, degradations, penalized, gp_fallbacks,
- * ckpt_recoveries) followed by the transport categories the fleet
- * absorbed (worker_crashes, request_timeouts, worker_hangs,
- * torn_frames, corrupt_frames, worker_respawns, work_steals,
- * inproc_fallbacks). Kept separate from the records/front/trace CSVs
+ * ckpt_recoveries). Kept separate from the records/front/trace CSVs
  * so those stay byte-identical across execution topologies.
  */
 bool writeFaultsCsv(const CoSearchResult &result, const std::string &path);

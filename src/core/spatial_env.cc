@@ -25,7 +25,7 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                      accel::SpatialHwConfig hw,
                      mapping::EngineKind engine, accel::EvalCache *cache,
                      surrogate::SurrogateContext *surrogate,
-                     common::LazyThreadPool *evalPool)
+                     common::ThreadPool *evalPool)
         : layers_(layers), spaces_(spaces), model_(model), hw_(hw),
           engine_(engine), cache_(cache), surrogate_(surrogate),
           evalPool_(evalPool), screens_(layers.size()),
@@ -58,7 +58,7 @@ class SpatialRunPolicy final : public LayeredRunPolicy
         // model outputs are ever stored; the screen sits above the
         // cache so screened-out candidates never touch it. One screen
         // per layer, trained only on this run's exact evals (makes
-        // fleet and threaded runs byte-identical).
+        // threaded runs byte-identical).
         if (screens_[layer] == nullptr)
             screens_[layer] = surrogate::makeSpatialScreen(
                 surrogate_, op, hw_, prep.context);
@@ -76,7 +76,7 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                 screens_[layer].get(), cached,
                 mapping::cachingBatchEvaluator(
                     cache_, prep.context,
-                    mapping::parallelBatch(evaluator, &evalPool_->get()),
+                    mapping::parallelBatch(evaluator, evalPool_),
                     seconds));
         return std::make_unique<LayerSearchAdapter<mapping::SearchRun>>(
             mapping::startSearch(
@@ -102,7 +102,7 @@ class SpatialRunPolicy final : public LayeredRunPolicy
     mapping::EngineKind engine_;
     accel::EvalCache *cache_;
     surrogate::SurrogateContext *surrogate_;
-    common::LazyThreadPool *evalPool_;
+    common::ThreadPool *evalPool_;
     std::vector<std::unique_ptr<mapping::CandidateScreen>> screens_;
     std::vector<std::unique_ptr<costmodel::PreparedSpatialQuery>> preps_;
 };

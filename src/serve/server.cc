@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include "common/io.hh"
-#include "net/socket.hh"
 #include "serve/http.hh"
+#include "serve/socket.hh"
 
 namespace unico::serve {
 
@@ -72,10 +72,10 @@ JobServer::start(std::string *error)
 {
     if (listenFd_ >= 0)
         return true;
-    listenFd_ = net::tcpListen(cfg_.addr, error);
+    listenFd_ = tcpListen(cfg_.addr, error);
     if (listenFd_ < 0)
         return false;
-    port_ = net::boundPort(listenFd_);
+    port_ = boundPort(listenFd_);
     acceptThread_ = std::thread([this] { acceptLoop(); });
     return true;
 }
@@ -108,7 +108,7 @@ JobServer::acceptLoop()
     while (!stopping_.load(std::memory_order_relaxed)) {
         // Short accept timeout so stop() is honored promptly.
         common::IoStatus status = common::IoStatus::Ok;
-        const int fd = net::tcpAccept(listenFd_, 0.25, &status);
+        const int fd = tcpAccept(listenFd_, 0.25, &status);
         if (fd < 0)
             continue;
         std::lock_guard<std::mutex> lk(connMu_);

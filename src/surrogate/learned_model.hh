@@ -17,8 +17,8 @@
  * the observation sequence — features are deterministic, the Gram
  * accumulation and Cholesky refit are bit-stable, and the admission
  * policy uses no RNG. Each per-layer screen trains only on its own
- * run-local exact evaluations, so fleet workers and threaded runs
- * make identical decisions; with screening disabled (or keep = 1.0)
+ * run-local exact evaluations, so serial and threaded runs make
+ * identical decisions; with screening disabled (or keep = 1.0)
  * trajectories are byte-identical to a build without this module.
  * Exact evaluations remain the sole source of truth: screened-out
  * candidates return surrogate-fidelity evals that never become

@@ -61,7 +61,7 @@ parityConfig(int batch, int iters, int bmax)
 void
 checkParity(const std::string &backend, const std::string &network,
             const core::DriverConfig &cfg,
-            common::LazyThreadPool *evalPool = nullptr)
+            common::ThreadPool *evalPool = nullptr)
 {
     core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
@@ -109,13 +109,13 @@ TEST(BackendParity, AscendMatchesSeedBuildByteForByte)
 
 TEST(BackendParity, SpatialBatchedEvaluationMatchesSerialGoldens)
 {
-    common::LazyThreadPool pool(4);
+    common::ThreadPool pool(4);
     checkParity("spatial", "mobilenet", parityConfig(6, 2, 24), &pool);
 }
 
 TEST(BackendParity, AscendIgnoresEvalPoolAndStaysOnGoldens)
 {
-    common::LazyThreadPool pool(4);
+    common::ThreadPool pool(4);
     checkParity("ascend", "fsrcnn_120x320", parityConfig(4, 2, 12),
                 &pool);
 }

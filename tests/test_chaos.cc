@@ -7,9 +7,10 @@
  * CSV, trace CSV and the final checkpoint document itself.
  *
  * Also covers the graceful path (SIGTERM drains and exits with the
- * resumable status code 75) and recovery from a corrupted newest
+ * resumable status code 75), recovery from a corrupted newest
  * checkpoint generation (bit flip / truncation -> fall back to the
- * previous generation).
+ * previous generation), a resume under a different thread topology,
+ * and the usage error for the removed evaluation-fleet flags.
  */
 
 #include <gtest/gtest.h>
@@ -37,9 +38,6 @@ namespace {
 
 /** Compile-time path of the CLI under test. */
 const char *const kCli = UNICO_CLI_PATH;
-
-/** Compile-time path of the chaos proxy binary. */
-const char *const kProxy = UNICO_PROXY_PATH;
 
 /** Deterministic LCG for kill delays (std::rand is process-global
  *  state; the harness must not depend on it). */
@@ -102,8 +100,11 @@ cliArgs(const std::string &dir, bool resume)
     return args;
 }
 
+/** Fork + exec @p args with stdout silenced; stderr goes to
+ *  @p stderr_path when non-empty. */
 pid_t
-spawn(const std::vector<std::string> &args)
+spawn(const std::vector<std::string> &args,
+      const std::string &stderr_path = {})
 {
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -117,41 +118,12 @@ spawn(const std::vector<std::string> &args)
     if (pid == 0) {
         // Child: silence stdout so test output stays readable.
         std::freopen("/dev/null", "w", stdout);
+        if (!stderr_path.empty())
+            std::freopen(stderr_path.c_str(), "w", stderr);
         execv(argv[0], argv.data());
         _exit(127); // exec failed
     }
     return pid;
-}
-
-/** Poll @p path until a process writes a positive port number into
- *  it (the CLI's --fleet-port-file / proxy's --port-file handoff). */
-int
-awaitPortFile(const std::string &path, double wait_seconds = 30.0)
-{
-    for (int i = 0; i < static_cast<int>(wait_seconds * 100); ++i) {
-        std::ifstream in(path);
-        int port = 0;
-        if (in >> port && port > 0)
-            return port;
-        usleep(10000);
-    }
-    ADD_FAILURE() << "port file never appeared: " << path;
-    return -1;
-}
-
-/** Reap @p pid, SIGKILLing it if it outlives @p wait_seconds. */
-int
-reapWithin(pid_t pid, double wait_seconds)
-{
-    int status = 0;
-    for (int i = 0; i < static_cast<int>(wait_seconds * 100); ++i) {
-        if (waitpid(pid, &status, WNOHANG) == pid)
-            return WIFEXITED(status) ? WEXITSTATUS(status) : -2;
-        usleep(10000);
-    }
-    kill(pid, SIGKILL);
-    waitpid(pid, &status, 0);
-    return -3; // had to shoot it
 }
 
 /** Outcome of one supervised child run. */
@@ -227,23 +199,6 @@ expectSameOutputs(const std::string &base_dir,
                   readFile(chaos_dir + "/ck.json"))
             << "divergent final checkpoint";
     }
-}
-
-/** Column @p name of the one-row faults CSV at @p path. */
-std::uint64_t
-faultsCsvColumn(const std::string &path, const std::string &name)
-{
-    const std::string text = readFile(path);
-    const std::size_t nl = text.find('\n');
-    EXPECT_NE(nl, std::string::npos) << path;
-    std::istringstream header(text.substr(0, nl));
-    std::istringstream row(text.substr(nl + 1));
-    std::string col, val;
-    while (std::getline(header, col, ',') && std::getline(row, val, ','))
-        if (col == name || col == name + "\r")
-            return std::strtoull(val.c_str(), nullptr, 10);
-    ADD_FAILURE() << "column '" << name << "' not in " << path;
-    return 0;
 }
 
 } // namespace
@@ -354,147 +309,15 @@ TEST(Chaos, CorruptedNewestCheckpointFallsBackToPreviousGeneration)
     EXPECT_EQ(refused.exitCode, 1);
 }
 
-TEST(Chaos, FleetWithWorkerKillsMatchesInProcessRun)
+TEST(Chaos, ThreadTopologyKillResumesAcrossTopologies)
 {
-    // THE fleet acceptance check: the same fixed-seed search through
-    // 4 worker processes — with real SIGKILLs delivered to live
-    // workers at seeded points mid-run, and a multithreaded master
-    // stealing work across them — must produce byte-identical
-    // records/front/trace CSVs AND a byte-identical final checkpoint
-    // versus the plain in-process run.
-    const std::string base = makeBaseline("fbase");
-    const std::string dir = makeTempDir("fleet");
-
-    std::vector<std::string> args = cliArgs(dir, false);
-    for (const char *extra : {"--workers", "4", "--worker-chaos-kills",
-                              "4", "--threads", "2"})
-        args.push_back(extra);
-    const auto out = runMaybeKill(args, -1);
-    ASSERT_EQ(out.exitCode, 0);
-    expectSameOutputs(base, dir, true);
-
-    // The transport ledger must show the kills were real and were
-    // absorbed by respawns — not silently skipped.
-    EXPECT_GE(faultsCsvColumn(dir + "/out_faults.csv",
-                              "worker_crashes"),
-              3u);
-    EXPECT_GE(faultsCsvColumn(dir + "/out_faults.csv",
-                              "worker_respawns"),
-              3u);
-    EXPECT_EQ(faultsCsvColumn(base + "/out_faults.csv",
-                              "worker_crashes"),
-              0u);
-}
-
-TEST(Chaos, TcpFleetThroughChaosProxyWithWorkerKillStaysByteIdentical)
-{
-    // The multi-host acceptance check: master and workers are REAL
-    // processes talking TCP through the chaos proxy, which injects
-    // seeded delays, drops, duplicates, reorders, torn frames, bit
-    // flips and hard partitions (each partition severs every
-    // connection and forces the workers through their reconnect
-    // backoff). On top of the network chaos, one worker process is
-    // SIGKILLed mid-run and a replacement dials in. Records, front,
-    // trace CSVs AND the final checkpoint must be byte-identical to
-    // the plain in-process run.
-    const std::string base = makeBaseline("pbase");
-    const std::string dir = makeTempDir("proxy");
-
-    // Master: TCP listener on a free port, short deadlines so chaos
-    // losses fail over fast instead of serializing 30 s stalls.
-    std::vector<std::string> margs = cliArgs(dir, false);
-    for (const char *extra :
-         {"--workers", "2", "--fleet-listen", "127.0.0.1:0",
-          "--fleet-connect-wait", "30", "--fleet-reconnect-wait", "2",
-          "--worker-eval-deadline", "2", "--threads", "2"}) {
-        margs.push_back(extra);
-    }
-    margs.push_back("--fleet-port-file");
-    margs.push_back(dir + "/master.port");
-    const pid_t master = spawn(margs);
-    ASSERT_GT(master, 0);
-    const int mport = awaitPortFile(dir + "/master.port");
-    ASSERT_GT(mport, 0);
-
-    // Chaos proxy between the workers and the master. The partition
-    // cadence guarantees at least one hard partition well inside the
-    // run; the drop rate stays low because every drop costs a full
-    // request deadline.
-    const pid_t proxy = spawn(
-        {kProxy, "--upstream", "127.0.0.1:" + std::to_string(mport),
-         "--port-file", dir + "/proxy.port", "--chaos",
-         "seed=31,drop=0.01,tear=0.01,flip=0.02,dup=0.03,"
-         "reorder=0.03,delay=0.15:0.005,partition=120:0.3"});
-    ASSERT_GT(proxy, 0);
-    const int pport = awaitPortFile(dir + "/proxy.port");
-    ASSERT_GT(pport, 0);
-
-    // Enough reconnect budget to ride out every partition, but small
-    // enough (40 x <=0.5 s jittered backoff) that a worker who missed
-    // the master's bye (chaos can eat it) drains its attempts against
-    // the dead endpoint and exits 0 well inside the reap window.
-    const auto workerArgs = [&] {
-        return std::vector<std::string>{
-            kCli,
-            "resnet",
-            "--fleet-connect",
-            "127.0.0.1:" + std::to_string(pport),
-            "--fleet-reconnect-attempts",
-            "40",
-            "--fleet-reconnect-max",
-            "0.5",
-        };
-    };
-    pid_t w1 = spawn(workerArgs());
-    const pid_t w2 = spawn(workerArgs());
-    ASSERT_GT(w1, 0);
-    ASSERT_GT(w2, 0);
-
-    // Let the fleet do real work, then SIGKILL one worker process —
-    // its slot must fail over (retry on the survivor, reopen, or
-    // in-process replay) — and dial a replacement in.
-    usleep(1500 * 1000);
-    kill(w1, SIGKILL);
-    waitpid(w1, nullptr, 0);
-    w1 = spawn(workerArgs());
-    ASSERT_GT(w1, 0);
-
-    // The master must complete successfully despite everything.
-    const int master_rc = reapWithin(master, 300.0);
-    EXPECT_EQ(master_rc, 0);
-
-    // Proxy: SIGTERM prints the ledger and exits 0. Workers exit 0
-    // on the master's bye (or connection exhaustion after it).
-    kill(proxy, SIGTERM);
-    EXPECT_EQ(reapWithin(proxy, 30.0), 0);
-    EXPECT_EQ(reapWithin(w1, 120.0), 0);
-    EXPECT_EQ(reapWithin(w2, 120.0), 0);
-
-    expectSameOutputs(base, dir, true);
-
-    // The ledger must show the fleet really absorbed network faults:
-    // corrupt frames from bit flips, stale frames from dup/reorder,
-    // lost connections + reconnects from partitions/tears/the kill.
-    const std::string faults = dir + "/out_faults.csv";
-    EXPECT_GE(faultsCsvColumn(faults, "connections_lost") +
-                  faultsCsvColumn(faults, "request_timeouts") +
-                  faultsCsvColumn(faults, "torn_frames") +
-                  faultsCsvColumn(faults, "corrupt_frames"),
-              1u);
-    EXPECT_GE(faultsCsvColumn(faults, "reconnects") +
-                  faultsCsvColumn(faults, "worker_respawns") +
-                  faultsCsvColumn(faults, "inproc_fallbacks"),
-              1u);
-}
-
-TEST(Chaos, MasterKillInFleetModeResumesAcrossTopologies)
-{
-    // Kill the whole MASTER process mid-run in fleet mode, then
-    // resume in-process (and vice versa would hold too): checkpoint
+    // Kill the process mid-run while it searches on 4 round threads
+    // with batched evaluation, then resume on one thread: checkpoint
     // identity deliberately excludes the execution topology, so the
-    // resumed search must converge to the baseline bit-for-bit.
-    const std::string base = makeBaseline("mbase");
-    const std::string dir = makeTempDir("mkill");
+    // resumed search must converge to the serial baseline
+    // bit-for-bit, final checkpoint included.
+    const std::string base = makeBaseline("tbase");
+    const std::string dir = makeTempDir("tkill");
     Lcg rng(0xf1ee7ULL);
 
     int kills = 0;
@@ -503,12 +326,13 @@ TEST(Chaos, MasterKillInFleetModeResumesAcrossTopologies)
         const bool resume = fileExists(dir + "/ck.json") ||
                             fileExists(dir + "/ck.json.1");
         std::vector<std::string> args = cliArgs(dir, resume);
-        if (kills == 0) {
-            // First leg runs through the fleet; later legs (after
-            // the master died) complete in-process.
-            for (const char *extra : {"--workers", "3"})
-                args.push_back(extra);
-        }
+        // First leg is parallel; later legs (after the kill) are
+        // serial.
+        if (kills == 0)
+            args.insert(args.end(),
+                        {"--threads", "4", "--batch-evals", "2"});
+        else
+            args.insert(args.end(), {"--threads", "1"});
         const int delay =
             kills < 1 ? 20 + static_cast<int>(rng.next() % 150) : -1;
         const auto out = runMaybeKill(args, delay);
@@ -521,8 +345,40 @@ TEST(Chaos, MasterKillInFleetModeResumesAcrossTopologies)
                 removeArtifacts(dir);
         }
     }
-    ASSERT_TRUE(completed) << "master-kill loop never completed";
+    ASSERT_TRUE(completed) << "topology kill loop never completed";
     expectSameOutputs(base, dir, true);
+}
+
+TEST(Chaos, RemovedFleetFlagsFailWithUsageError)
+{
+    // The evaluation fleet is gone. Its flags must fail loudly rather
+    // than be ignored: a stale --fleet-connect would otherwise start
+    // a full search of its own.
+    const std::string dir = makeTempDir("flags");
+    const std::vector<std::vector<std::string>> removed = {
+        {"--workers", "2"},
+        {"--fleet-connect", "127.0.0.1:1"},
+        {"--worker-chaos-kills", "3"},
+        {"--fleet-listen", "127.0.0.1:0"},
+    };
+    for (const auto &flag : removed) {
+        std::vector<std::string> args = cliArgs(dir, false);
+        args.insert(args.end(), flag.begin(), flag.end());
+        const pid_t pid = spawn(args, dir + "/stderr.txt");
+        ASSERT_GT(pid, 0);
+        int status = 0;
+        waitpid(pid, &status, 0);
+        ASSERT_TRUE(WIFEXITED(status)) << flag[0];
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flag[0];
+        const std::string err = readFile(dir + "/stderr.txt");
+        EXPECT_NE(err.find(flag[0]), std::string::npos) << err;
+        EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+        EXPECT_NE(err.find("--batch-evals"), std::string::npos) << err;
+        for (const char *f : {"/out_records.csv", "/out_front.csv",
+                              "/out_trace.csv", "/out_faults.csv",
+                              "/ck.json"})
+            EXPECT_FALSE(fileExists(dir + f)) << flag[0] << " wrote " << f;
+    }
 }
 
 // ---------------------------------------------------------------

@@ -5,7 +5,7 @@
  * peer, short reads/writes across a nonblocking pipe whose tiny
  * kernel buffer forces partial transfers, and absolute deadlines that
  * bind even when the peer keeps the connection trickling (the
- * slow-loris case readFull's old per-call timeout could not catch).
+ * slow-loris case a per-call timeout could not catch).
  */
 
 #include <gtest/gtest.h>
@@ -238,6 +238,33 @@ TEST(Io, WriteToClosedReaderIsEofNotSigpipe)
                                      payload.size(),
                                      common::monotonicNow() + 1.0),
               IoStatus::Eof);
+    ::close(fds[1]);
+}
+
+TEST(Io, ReadReportsPartialProgressOnEof)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(common::writeFull(fds[1], "abc", 3), IoStatus::Ok);
+    ::close(fds[1]);
+    char buf[8] = {};
+    std::size_t got = 0;
+    EXPECT_EQ(common::readFullUntil(fds[0], buf, sizeof(buf), 0.0, &got),
+              IoStatus::Eof);
+    EXPECT_EQ(got, 3u);
+    EXPECT_EQ(std::string(buf, 3), "abc");
+    ::close(fds[0]);
+}
+
+TEST(Io, SetCloexecTogglesTheFlag)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    EXPECT_TRUE(common::setCloexec(fds[0]));
+    EXPECT_TRUE(::fcntl(fds[0], F_GETFD) & FD_CLOEXEC);
+    EXPECT_TRUE(common::setCloexec(fds[0], false));
+    EXPECT_FALSE(::fcntl(fds[0], F_GETFD) & FD_CLOEXEC);
+    ::close(fds[0]);
     ::close(fds[1]);
 }
 

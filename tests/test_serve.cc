@@ -46,7 +46,7 @@ TEST(Serve, SkippedOnWindows) { GTEST_SKIP(); }
 #include "core/backend.hh"
 #include "core/job_manager.hh"
 #include "core/report.hh"
-#include "net/socket.hh"
+#include "serve/socket.hh"
 #include "workload/model_zoo.hh"
 
 using namespace unico;
@@ -485,7 +485,7 @@ httpExchange(int port, const std::string &request,
              double wait_seconds = 120.0)
 {
     std::string error;
-    const int fd = net::tcpConnect(
+    const int fd = serve::tcpConnect(
         "127.0.0.1:" + std::to_string(port), 10.0, &error);
     EXPECT_GE(fd, 0) << error;
     if (fd < 0)
