@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "costmodel/analytical.hh"
+#include "linalg/matrix.hh"
 #include "moo/hypervolume.hh"
 #include "surrogate/gp.hh"
 #include "surrogate/learned_model.hh"
@@ -405,6 +407,88 @@ BM_GpPredict(benchmark::State &state)
         benchmark::DoNotOptimize(gp.predict(q));
 }
 BENCHMARK(BM_GpPredict);
+
+/**
+ * One MOBO proposal's pool solve at the GP cap: L⁻¹K* for n = 256
+ * training points and m = 240 candidates on the same Cholesky factor,
+ * as 240 separate forward substitutions (the pre-batching acquisition
+ * path) and as one column-blocked multi-RHS solve (the production
+ * path). Both give bitwise-equal columns; the ns_per_solve counter
+ * carries both into BENCH_micro.json, where CI guards the ratio.
+ */
+struct PoolSolveFixture
+{
+    static constexpr std::size_t kTrain = 256;
+    static constexpr std::size_t kPool = 240;
+
+    PoolSolveFixture()
+    {
+        common::Rng rng(7);
+        std::vector<std::vector<double>> x(kTrain), q(kPool);
+        for (auto &p : x)
+            p = {rng.uniform(), rng.uniform(), rng.uniform(),
+                 rng.uniform()};
+        for (auto &p : q)
+            p = {rng.uniform(), rng.uniform(), rng.uniform(),
+                 rng.uniform()};
+        const surrogate::KernelParams params;
+        linalg::Matrix k(kTrain, kTrain, 0.0);
+        for (std::size_t i = 0; i < kTrain; ++i) {
+            for (std::size_t j = 0; j < kTrain; ++j)
+                k(i, j) = surrogate::kernelValue(params, x[i], x[j]);
+            k(i, i) += params.noise;
+        }
+        chol = std::make_unique<linalg::Cholesky>(std::move(k));
+        kstar = linalg::Matrix(kTrain, kPool, 0.0);
+        for (std::size_t i = 0; i < kTrain; ++i)
+            for (std::size_t j = 0; j < kPool; ++j)
+                kstar(i, j) = surrogate::kernelValue(params, q[j], x[i]);
+        columns.assign(kPool, linalg::Vector(kTrain));
+        for (std::size_t j = 0; j < kPool; ++j)
+            for (std::size_t i = 0; i < kTrain; ++i)
+                columns[j][i] = kstar(i, j);
+    }
+
+    std::unique_ptr<linalg::Cholesky> chol;
+    linalg::Matrix kstar;
+    std::vector<linalg::Vector> columns;
+};
+
+void
+setNsPerSolve(benchmark::State &state)
+{
+    // iterations * 1e-9 under kIsRate|kInvert reports elapsed
+    // nanoseconds per pool solve.
+    state.counters["ns_per_solve"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_SolveLowerPerColumn(benchmark::State &state)
+{
+    const PoolSolveFixture f;
+    double sink = 0.0;
+    for (auto _ : state)
+        for (const auto &col : f.columns)
+            sink += f.chol->solveLower(col).back();
+    benchmark::DoNotOptimize(sink);
+    setNsPerSolve(state);
+}
+BENCHMARK(BM_SolveLowerPerColumn);
+
+void
+BM_SolveLowerColumns(benchmark::State &state)
+{
+    const PoolSolveFixture f;
+    double sink = 0.0;
+    for (auto _ : state)
+        sink += f.chol->solveLowerColumns(f.kstar)(
+            PoolSolveFixture::kTrain - 1, PoolSolveFixture::kPool - 1);
+    benchmark::DoNotOptimize(sink);
+    setNsPerSolve(state);
+}
+BENCHMARK(BM_SolveLowerColumns);
 
 void
 BM_Hypervolume3d(benchmark::State &state)

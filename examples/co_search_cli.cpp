@@ -71,6 +71,8 @@
  * incumbents, Pareto entries, checkpoint state or CSV rows.
  */
 
+#include <chrono>
+#include <iomanip>
 #include <iostream>
 
 #include "baselines/nsga2.hh"
@@ -263,6 +265,7 @@ main(int argc, char **argv)
     const std::string algo = args.getString("algo", "unico");
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     core::CoSearchResult result;
+    double search_wall_s = 0.0; // MOBO-driven algorithms only
     if (algo == "nsga2") {
         baselines::Nsga2Config cfg;
         cfg.population = static_cast<int>(args.getInt("batch", 20));
@@ -329,6 +332,7 @@ main(int argc, char **argv)
             progress.every > 0 ? &progress : nullptr;
 
         core::CoOptimizer driver(env, cfg, nullptr, observer);
+        const auto run_start = std::chrono::steady_clock::now();
         try {
             result = driver.run();
         } catch (const std::exception &e) {
@@ -337,6 +341,9 @@ main(int argc, char **argv)
             std::cerr << "error: " << e.what() << "\n";
             return 1;
         }
+        search_wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - run_start)
+                            .count();
         for (const auto &warning : result.warnings)
             std::cerr << "warning: " << warning << "\n";
         if (fault_spec.active()) {
@@ -372,6 +379,14 @@ main(int argc, char **argv)
         std::cout << common::toString(result.cacheStats) << "\n";
     if (surrogate_ctx.options.enabled)
         std::cout << surrogate::toString(result.surrogateStats) << "\n";
+    if (search_wall_s > 0.0)
+        std::cout << "sampler wall: " << std::fixed << std::setprecision(3)
+                  << result.samplerWallSeconds << " s of "
+                  << search_wall_s << " s search wall ("
+                  << std::setprecision(1)
+                  << 100.0 * result.samplerWallSeconds / search_wall_s
+                  << " %)\n"
+                  << std::defaultfloat << std::setprecision(6);
     std::cout << "\n";
     common::TableWriter table(
         {"hw", "L(ms)", "P(mW)", "A(mm2)", "R"});

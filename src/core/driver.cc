@@ -888,6 +888,7 @@ CoSearch::result()
     if (const accel::EvalCache *cache = env_.evalCache())
         result_.cacheStats = cache->stats();
     result_.surrogateStats = env_.surrogateStats();
+    result_.samplerWallSeconds = sampler_->overheadSeconds();
 
     ProgressEvent ev;
     ev.kind = ProgressKind::Finished;

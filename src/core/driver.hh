@@ -229,6 +229,11 @@ struct CoSearchResult
      *  serialized into checkpoints or the records/front/trace CSVs,
      *  which stay byte-identical with screening off. */
     surrogate::SurrogateStats surrogateStats;
+    /** Wall seconds the MOBO sampler (GP fit + acquisition) took in
+     *  this run (MoboHwSampler::overheadSeconds()). Diagnostics only,
+     *  like cacheStats: never serialized into checkpoints, CSVs or
+     *  progress events; a resumed run counts only its own batches. */
+    double samplerWallSeconds = 0.0;
     /** True when the run wound down early (shutdown signal or
      *  wall-clock deadline) after draining in-flight work and writing
      *  a resumable checkpoint; partial-trial state is rolled back so

@@ -32,7 +32,7 @@ MoboHwSampler::observe(const accel::HwPoint &h, const moo::Objectives &y,
     obs.y = y;
     obs.highFidelity = high_fidelity;
     all_.push_back(std::move(obs));
-    seenKeys_.insert(space_.key(h));
+    seenKeys_.insert(h);
 
     if (ideal_.empty()) {
         ideal_ = y;
@@ -70,18 +70,27 @@ MoboHwSampler::normalize(const moo::Objectives &y) const
     return moo::normalizeObjectives(y, ideal_, nadir_);
 }
 
-accel::HwPoint
-MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
+/**
+ * Surrogate state shared by the proposals of one batch: the
+ * high-fidelity training set and the fitted GP. The training window
+ * and the kernel parameters do not depend on the ParEGO weights, so
+ * the Cholesky factor is the same for every proposal of the batch;
+ * once one proposal has fitted it, the rest only re-solve for their
+ * own scalarized targets. Lives on sampleBatch()'s stack, so nothing
+ * of it reaches a checkpoint.
+ */
+struct MoboHwSampler::BatchModel
 {
-    // Gather the high-fidelity training set.
-    std::vector<std::vector<double>> x;
     std::vector<const Obs *> hf;
-    for (const auto &obs : all_) {
-        if (obs.highFidelity) {
-            hf.push_back(&obs);
-            x.push_back(obs.x);
-        }
-    }
+    std::vector<std::vector<double>> x;
+    surrogate::GaussianProcess gp;
+};
+
+accel::HwPoint
+MoboHwSampler::proposeOne(BatchModel &model,
+                          const std::set<accel::HwPoint> &batch_keys)
+{
+    const std::vector<const Obs *> &hf = model.hf;
     if (hf.size() < 4) {
         // Cold start: explore randomly.
         return space_.randomPoint(rng_);
@@ -95,23 +104,33 @@ MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
     for (const Obs *obs : hf)
         s.push_back(moo::parego(normalize(obs->y), w, cfg_.rho));
 
-    surrogate::GaussianProcess gp(kernelParams_);
-    if (!kernelTuned_) {
-        if (cfg_.useArd)
-            gp.fitArd(x, s, cfg_.maxGpPoints, 2, cfg_.gpThreads);
-        else
-            gp.fitWithHyperopt(x, s, cfg_.maxGpPoints, cfg_.gpThreads);
-        if (gp.trained()) {
-            kernelParams_ = gp.params();
-            kernelTuned_ = true;
-        }
+    surrogate::GaussianProcess &gp = model.gp;
+    if (gp.trained()) {
+        // Same factor as a fresh fit() at kernelParams_ (which the
+        // tuning fit below installed or which fit() built): only α
+        // and the LML change with the weights.
+        gp.refitTargets(s, cfg_.maxGpPoints);
     } else {
-        gp.fit(x, s, cfg_.maxGpPoints);
+        gp = surrogate::GaussianProcess(kernelParams_);
+        if (!kernelTuned_) {
+            if (cfg_.useArd)
+                gp.fitArd(model.x, s, cfg_.maxGpPoints, 2, cfg_.gpThreads);
+            else
+                gp.fitWithHyperopt(model.x, s, cfg_.maxGpPoints,
+                                   cfg_.gpThreads);
+            if (gp.trained()) {
+                kernelParams_ = gp.params();
+                kernelTuned_ = true;
+            }
+        } else {
+            gp.fit(model.x, s, cfg_.maxGpPoints);
+        }
     }
     // Graceful degradation: a failed fit (Cholesky jitter ladder
     // exhausted on an ill-conditioned kernel matrix) or a non-finite
     // posterior (NaN targets) falls back to space-filling proposal
-    // for this slot instead of aborting the whole trial.
+    // for this slot instead of aborting the whole trial. An untrained
+    // GP is fitted again by the next slot.
     if (!gp.trained() ||
         !std::isfinite(gp.logMarginalLikelihood())) {
         ++gpFallbacks_;
@@ -141,48 +160,61 @@ MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
     // Expected-improvement maximization over the pool, skipping
     // configurations already evaluated or already in this batch.
     // Duplicate pool entries are scored once: the strict '>' argmax
-    // means a repeat could never win anyway, so dropping it saves a
-    // GP prediction without changing the proposal.
-    std::set<std::string> scored;
-    double best_ei = -1.0;
-    accel::HwPoint best = pool.front();
-    bool found = false;
+    // means a repeat could never win anyway. The survivors are
+    // scored in one batched posterior, then the argmax runs in pool
+    // order.
+    std::set<accel::HwPoint> scored;
+    std::vector<const accel::HwPoint *> cands;
+    std::vector<std::vector<double>> xs;
+    cands.reserve(pool.size());
+    xs.reserve(pool.size());
     for (const auto &cand : pool) {
-        const std::string key = space_.key(cand);
-        if (batch_keys.count(key) || seenKeys_.count(key))
+        if (batch_keys.count(cand) || seenKeys_.count(cand))
             continue;
-        if (!scored.insert(key).second)
+        if (!scored.insert(cand).second)
             continue;
-        const auto pred = gp.predict(space_.normalize(cand));
-        const double ei = surrogate::expectedImprovement(pred, incumbent);
+        cands.push_back(&cand);
+        xs.push_back(space_.normalize(cand));
+    }
+    const auto preds = gp.predictBatch(xs);
+    double best_ei = -1.0;
+    const accel::HwPoint *best = nullptr;
+    for (std::size_t j = 0; j < preds.size(); ++j) {
+        const double ei = surrogate::expectedImprovement(preds[j], incumbent);
         if (ei > best_ei) {
             best_ei = ei;
-            best = cand;
-            found = true;
+            best = cands[j];
         }
     }
-    if (!found)
+    if (best == nullptr)
         return space_.randomPoint(rng_);
-    return best;
+    return *best;
 }
 
 std::vector<accel::HwPoint>
 MoboHwSampler::sampleBatch(std::size_t n)
 {
     const auto start = std::chrono::steady_clock::now();
+    BatchModel model;
+    for (const auto &obs : all_) {
+        if (obs.highFidelity) {
+            model.hf.push_back(&obs);
+            model.x.push_back(obs.x);
+        }
+    }
     std::vector<accel::HwPoint> batch;
-    std::set<std::string> batch_keys;
+    std::set<accel::HwPoint> batch_keys;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         accel::HwPoint h = rng_.bernoulli(cfg_.randomFraction)
                                ? space_.randomPoint(rng_)
-                               : proposeOne(batch_keys);
+                               : proposeOne(model, batch_keys);
         // Retry a few times to keep the batch diverse; accept
         // duplicates only as a last resort (tiny spaces).
-        for (int attempt = 0;
-             attempt < 16 && batch_keys.count(space_.key(h)); ++attempt)
+        for (int attempt = 0; attempt < 16 && batch_keys.count(h);
+             ++attempt)
             h = space_.randomPoint(rng_);
-        batch_keys.insert(space_.key(h));
+        batch_keys.insert(h);
         batch.push_back(std::move(h));
     }
     overheadSeconds_ +=

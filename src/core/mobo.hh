@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "accel/design_space.hh"
@@ -87,8 +86,10 @@ class MoboHwSampler
      */
     std::vector<accel::HwPoint> sampleBatch(std::size_t n);
 
-    /** Seconds of surrogate/acquisition overhead accumulated (for
-     *  the EvalClock ledger). */
+    /** Wall seconds this sampler object spent in sampleBatch() (GP
+     *  fit + acquisition). Diagnostics only: not part of the virtual
+     *  EvalClock and not in saveState(), so a resumed run counts only
+     *  its own batches. */
     double overheadSeconds() const { return overheadSeconds_; }
 
     /** Proposals that fell back to space-filling sampling because the
@@ -116,14 +117,17 @@ class MoboHwSampler
         bool highFidelity;
     };
 
-    accel::HwPoint proposeOne(const std::set<std::string> &batch_keys);
+    struct BatchModel;
+
+    accel::HwPoint proposeOne(BatchModel &model,
+                              const std::set<accel::HwPoint> &batch_keys);
 
     const accel::DesignSpace &space_;
     std::size_t numObjectives_;
     MoboConfig cfg_;
     common::Rng rng_;
     std::vector<Obs> all_;
-    std::set<std::string> seenKeys_;
+    std::set<accel::HwPoint> seenKeys_;
     moo::Objectives ideal_;
     moo::Objectives nadir_;
     surrogate::KernelParams kernelParams_;

@@ -50,6 +50,21 @@ class Matrix
     /** Raw storage (row-major). */
     const std::vector<double> &data() const { return data_; }
 
+    /** Pointer to the first entry of row @p r. */
+    double *
+    row(std::size_t r)
+    {
+        assert(r < rows_);
+        return data_.data() + r * cols_;
+    }
+
+    const double *
+    row(std::size_t r) const
+    {
+        assert(r < rows_);
+        return data_.data() + r * cols_;
+    }
+
     /** Matrix-vector product. */
     Vector mul(const Vector &v) const;
 
@@ -112,6 +127,15 @@ class Cholesky
 
     /** Solve L y = b (forward substitution). */
     Vector solveLower(const Vector &b) const;
+
+    /**
+     * Solve L Y = B for an n x m right-hand side B (column-blocked
+     * forward substitution). Every column repeats solveLower()'s exact
+     * operation order, so column j of the result is bitwise equal to
+     * solveLower() of column j of B; the blocking only lets one pass
+     * over L serve a block of columns at once.
+     */
+    Matrix solveLowerColumns(const Matrix &b) const;
 
     /** Sum of log of diagonal entries of L (0.5 * log det A). */
     double halfLogDet() const;

@@ -44,6 +44,35 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
     const std::size_t n = x.size();
     const std::size_t start = n > max_points ? n - max_points : 0;
     x_.assign(x.begin() + static_cast<std::ptrdiff_t>(start), x.end());
+    setTargets(y, max_points);
+    rebuild();
+}
+
+void
+GaussianProcess::refitTargets(const std::vector<double> &y,
+                              std::size_t max_points)
+{
+    assert(std::min(y.size(), max_points) == x_.size());
+    setTargets(y, max_points);
+    if (!trained_) {
+        // No factor to reuse (never fitted, or the factorization
+        // failed): fall back to what fit() does.
+        if (!x_.empty())
+            rebuild();
+        return;
+    }
+    FitResult fit;
+    fit.chol = std::move(chol_);
+    solveTargets(fit);
+    install(std::move(fit));
+}
+
+void
+GaussianProcess::setTargets(const std::vector<double> &y,
+                            std::size_t max_points)
+{
+    const std::size_t start =
+        y.size() > max_points ? y.size() - max_points : 0;
     std::vector<double> y_kept(y.begin() + static_cast<std::ptrdiff_t>(start),
                                y.end());
 
@@ -54,8 +83,6 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
     yStd_.resize(y_kept.size());
     for (std::size_t i = 0; i < y_kept.size(); ++i)
         yStd_[i] = (y_kept[i] - yMean_) / yScale_;
-
-    rebuild();
 }
 
 GaussianProcess::FitResult
@@ -73,17 +100,23 @@ GaussianProcess::computeFit(const KernelParams &params) const
         k(i, i) += params.noise;
     }
     out.chol = std::make_unique<linalg::Cholesky>(std::move(k));
-    if (!out.chol->ok())
-        return out;
-    out.alpha = out.chol->solve(yStd_);
+    if (out.chol->ok())
+        solveTargets(out);
+    return out;
+}
+
+void
+GaussianProcess::solveTargets(FitResult &fit) const
+{
+    const std::size_t n = yStd_.size();
+    fit.alpha = fit.chol->solve(yStd_);
     // log p(y) = -0.5 yᵀ α - Σ log L_ii - n/2 log 2π
     double fit_term = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        fit_term += yStd_[i] * out.alpha[i];
-    out.lml = -0.5 * fit_term - out.chol->halfLogDet() -
+        fit_term += yStd_[i] * fit.alpha[i];
+    fit.lml = -0.5 * fit_term - fit.chol->halfLogDet() -
               0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
-    out.ok = true;
-    return out;
+    fit.ok = true;
 }
 
 void
@@ -237,6 +270,51 @@ GaussianProcess::predict(const std::vector<double> &x) const
 
     out.mean = mean_std * yScale_ + yMean_;
     out.variance = var_std * yScale_ * yScale_;
+    return out;
+}
+
+std::vector<Prediction>
+GaussianProcess::predictBatch(const std::vector<std::vector<double>> &xs) const
+{
+    std::vector<Prediction> out;
+    out.reserve(xs.size());
+    if (!trained_ || xs.empty()) {
+        for (const auto &x : xs)
+            out.push_back(predict(x));
+        return out;
+    }
+    // K* is n x m, one column per query point, so L⁻¹K* is a single
+    // multi-RHS solve. The mean and explained-variance sums run over
+    // rows i = 0..n-1 for every column, predict()'s order.
+    const std::size_t n = x_.size();
+    const std::size_t m = xs.size();
+    linalg::Matrix kstar(n, m, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        double *row = kstar.row(i);
+        for (std::size_t j = 0; j < m; ++j)
+            row[j] = kernelValue(params_, xs[j], x_[i]);
+    }
+    std::vector<double> mean_std(m, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *row = kstar.row(i);
+        for (std::size_t j = 0; j < m; ++j)
+            mean_std[j] += row[j] * alpha_[i];
+    }
+    const linalg::Matrix v = chol_->solveLowerColumns(kstar);
+    std::vector<double> explained(m, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *row = v.row(i);
+        for (std::size_t j = 0; j < m; ++j)
+            explained[j] += row[j] * row[j];
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+        const double var_std = std::max(
+            kernelValue(params_, xs[j], xs[j]) - explained[j], 1e-12);
+        Prediction pred;
+        pred.mean = mean_std[j] * yScale_ + yMean_;
+        pred.variance = var_std * yScale_ * yScale_;
+        out.push_back(pred);
+    }
     return out;
 }
 

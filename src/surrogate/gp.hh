@@ -73,6 +73,18 @@ class GaussianProcess
                 std::size_t max_points = 512, int passes = 2,
                 std::size_t threads = 0);
 
+    /**
+     * Replace the targets but keep the retained inputs, the kernel
+     * parameters and the Cholesky factor: re-standardize @p y (the
+     * same most-recent @p max_points window fit() keeps), then
+     * recompute α and the log marginal likelihood. The factor depends
+     * only on the inputs and the kernel, so this is bit-identical to
+     * fit() on the same x at O(n²) instead of O(n³). @p y must match
+     * the x of the last fit(); an untrained GP refactorizes.
+     */
+    void refitTargets(const std::vector<double> &y,
+                      std::size_t max_points = 512);
+
     /** True once fit() succeeded with at least one sample. */
     bool trained() const { return trained_; }
 
@@ -82,8 +94,20 @@ class GaussianProcess
     /** Posterior prediction at @p x (prior if untrained). */
     Prediction predict(const std::vector<double> &x) const;
 
+    /**
+     * Posterior predictions at every point of @p xs, bit-identical to
+     * predict() on each. The cross-covariances go through one blocked
+     * multi-RHS triangular solve instead of one solve per point, and
+     * every point's sums run in predict()'s order.
+     */
+    std::vector<Prediction>
+    predictBatch(const std::vector<std::vector<double>> &xs) const;
+
     /** Log marginal likelihood of the current fit. */
     double logMarginalLikelihood() const;
+
+    /** α = K⁻¹y over the standardized targets of the current fit. */
+    const std::vector<double> &alpha() const { return alpha_; }
 
     /** Current kernel hyperparameters. */
     const KernelParams &params() const { return params_; }
@@ -101,6 +125,14 @@ class GaussianProcess
     /** Fit at @p params from the retained (x_, yStd_) data. Pure:
      *  touches no member state, safe to run concurrently. */
     FitResult computeFit(const KernelParams &params) const;
+
+    /** Standardize the last @p max_points targets into yStd_. */
+    void setTargets(const std::vector<double> &y, std::size_t max_points);
+
+    /** α = K⁻¹ yStd_ and the log marginal likelihood on @p fit's
+     *  factor; marks the fit ok. Shared by computeFit() and
+     *  refitTargets() so both paths are the same arithmetic. */
+    void solveTargets(FitResult &fit) const;
 
     /** Adopt a fit as the current posterior. */
     void install(FitResult fit);

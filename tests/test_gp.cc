@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "surrogate/gp.hh"
@@ -303,4 +304,125 @@ TEST(Gp, HyperoptClearsStaleArdState)
     EXPECT_FALSE(gp.params().ardLengthscales.empty());
     gp.fitWithHyperopt(x, y);
     EXPECT_TRUE(gp.params().ardLengthscales.empty());
+}
+
+namespace {
+
+/** Bitwise double equality (EXPECT_EQ would let -0.0 == 0.0 pass). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectSamePrediction(const Prediction &got, const Prediction &want)
+{
+    EXPECT_TRUE(sameBits(got.mean, want.mean))
+        << got.mean << " vs " << want.mean;
+    EXPECT_TRUE(sameBits(got.variance, want.variance))
+        << got.variance << " vs " << want.variance;
+}
+
+/** 5-D inputs with a smooth target, plus a 240-point query pool. */
+void
+makeCloud(Rng &rng, std::size_t n, std::vector<std::vector<double>> &x,
+          std::vector<double> &y, std::vector<std::vector<double>> &pool)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> p(5);
+        for (auto &v : p)
+            v = rng.uniform();
+        y.push_back(std::sin(4.0 * p[0]) + p[1] * p[2] - 0.3 * p[4] +
+                    0.05 * rng.gaussian());
+        x.push_back(std::move(p));
+    }
+    for (std::size_t j = 0; j < 240; ++j) {
+        std::vector<double> p(5);
+        for (auto &v : p)
+            v = rng.uniform();
+        pool.push_back(std::move(p));
+    }
+    pool.push_back(x.front()); // a training point, where variance is small
+}
+
+} // namespace
+
+TEST(Gp, PredictBatchBitIdenticalToPredict)
+{
+    Rng rng(29);
+    std::vector<std::vector<double>> x, pool;
+    std::vector<double> y;
+    makeCloud(rng, 70, x, y, pool);
+
+    // Untrained: the batch path is the prior, like predict().
+    {
+        GaussianProcess gp;
+        const auto batch = gp.predictBatch(pool);
+        ASSERT_EQ(batch.size(), pool.size());
+        for (std::size_t j = 0; j < pool.size(); ++j)
+            expectSamePrediction(batch[j], gp.predict(pool[j]));
+        EXPECT_TRUE(gp.predictBatch({}).empty());
+    }
+    for (const KernelKind kind :
+         {KernelKind::SquaredExponential, KernelKind::Matern52}) {
+        for (const bool ard : {false, true}) {
+            KernelParams params;
+            params.kind = kind;
+            params.lengthscale = 0.4;
+            if (ard)
+                params.ardLengthscales = {0.2, 0.5, 0.9, 1.6, 0.35};
+            GaussianProcess gp(params);
+            gp.fit(x, y);
+            ASSERT_TRUE(gp.trained());
+            const auto batch = gp.predictBatch(pool);
+            ASSERT_EQ(batch.size(), pool.size());
+            for (std::size_t j = 0; j < pool.size(); ++j) {
+                SCOPED_TRACE(::testing::Message()
+                             << "kind " << static_cast<int>(kind)
+                             << " ard " << ard << " point " << j);
+                expectSamePrediction(batch[j], gp.predict(pool[j]));
+            }
+        }
+    }
+}
+
+TEST(Gp, RefitTargetsBitIdenticalToFreshFit)
+{
+    // Only the targets change between the proposals of one MOBO batch;
+    // refitting them on the kept factor must reproduce a fresh fit bit
+    // for bit, including at the subset-of-data cap.
+    Rng rng(31);
+    std::vector<std::vector<double>> x, pool;
+    std::vector<double> y;
+    makeCloud(rng, 90, x, y, pool);
+    for (const std::size_t cap : {std::size_t{512}, std::size_t{64}}) {
+        KernelParams params;
+        params.lengthscale = 0.35;
+        GaussianProcess reused(params);
+        reused.fit(x, y, cap);
+        ASSERT_TRUE(reused.trained());
+        for (int round = 0; round < 3; ++round) {
+            std::vector<double> y2(y.size());
+            for (auto &v : y2)
+                v = rng.gaussian() * (round + 1.0) + round;
+            reused.refitTargets(y2, cap);
+            GaussianProcess fresh(params);
+            fresh.fit(x, y2, cap);
+            ASSERT_TRUE(reused.trained());
+            ASSERT_EQ(reused.size(), fresh.size());
+            ASSERT_EQ(reused.alpha().size(), fresh.alpha().size());
+            for (std::size_t i = 0; i < fresh.alpha().size(); ++i)
+                EXPECT_TRUE(sameBits(reused.alpha()[i], fresh.alpha()[i]))
+                    << "alpha " << i;
+            EXPECT_TRUE(sameBits(reused.logMarginalLikelihood(),
+                                 fresh.logMarginalLikelihood()));
+            const auto batch = reused.predictBatch(pool);
+            for (std::size_t j = 0; j < pool.size(); ++j) {
+                expectSamePrediction(reused.predict(pool[j]),
+                                     fresh.predict(pool[j]));
+                expectSamePrediction(batch[j], fresh.predict(pool[j]));
+            }
+        }
+    }
 }

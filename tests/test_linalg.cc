@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "linalg/matrix.hh"
@@ -281,4 +282,43 @@ TEST(Cholesky, SolveLowerForwardSubstitution)
     EXPECT_NEAR(chol.lower()(0, 0) * y[0], 2.0, 1e-12);
     EXPECT_NEAR(chol.lower()(1, 0) * y[0] + chol.lower()(1, 1) * y[1],
                 1.0 + std::sqrt(2.0), 1e-12);
+}
+
+TEST(Cholesky, SolveLowerColumnsBitIdenticalToPerColumnSolves)
+{
+    // The blocked multi-RHS solve must reproduce solveLower() column by
+    // column bit for bit, including widths that are not a multiple of
+    // the column block and the single-row/single-column edges.
+    unico::common::Rng rng(13);
+    for (const std::size_t n : {1u, 2u, 17u, 256u}) {
+        Matrix g(n, n);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                g(r, c) = rng.gaussian();
+        Matrix a = g.mul(g.transposed());
+        a.addDiagonal(static_cast<double>(n));
+        const Cholesky chol(std::move(a));
+        ASSERT_TRUE(chol.ok());
+        for (const std::size_t m : {1u, 7u, 16u, 17u, 240u}) {
+            Matrix b(n, m);
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t c = 0; c < m; ++c)
+                    b(r, c) = rng.gaussian();
+            const Matrix y = chol.solveLowerColumns(b);
+            ASSERT_EQ(y.rows(), n);
+            ASSERT_EQ(y.cols(), m);
+            for (std::size_t c = 0; c < m; ++c) {
+                Vector col(n);
+                for (std::size_t r = 0; r < n; ++r)
+                    col[r] = b(r, c);
+                const Vector ref = chol.solveLower(col);
+                for (std::size_t r = 0; r < n; ++r) {
+                    const double got = y(r, c);
+                    ASSERT_EQ(std::memcmp(&got, &ref[r], sizeof got), 0)
+                        << "n=" << n << " m=" << m << " row " << r
+                        << " col " << c;
+                }
+            }
+        }
+    }
 }
