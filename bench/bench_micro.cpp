@@ -22,6 +22,7 @@
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "costmodel/analytical.hh"
+#include "linalg/lanes.hh"
 #include "linalg/matrix.hh"
 #include "moo/hypervolume.hh"
 #include "surrogate/gp.hh"
@@ -414,7 +415,8 @@ BENCHMARK(BM_GpPredict);
  * as 240 separate forward substitutions (the pre-batching acquisition
  * path) and as one column-blocked multi-RHS solve (the production
  * path). Both give bitwise-equal columns; the ns_per_solve counter
- * carries both into BENCH_micro.json, where CI guards the ratio.
+ * carries both into BENCH_micro.json, where CI guards the ratio. The
+ * same fixture times building K* itself, per entry and row-wise.
  */
 struct PoolSolveFixture
 {
@@ -424,31 +426,34 @@ struct PoolSolveFixture
     PoolSolveFixture()
     {
         common::Rng rng(7);
-        std::vector<std::vector<double>> x(kTrain), q(kPool);
-        for (auto &p : x)
+        train.resize(kTrain);
+        pool.resize(kPool);
+        for (auto &p : train)
             p = {rng.uniform(), rng.uniform(), rng.uniform(),
                  rng.uniform()};
-        for (auto &p : q)
+        for (auto &p : pool)
             p = {rng.uniform(), rng.uniform(), rng.uniform(),
                  rng.uniform()};
-        const surrogate::KernelParams params;
         linalg::Matrix k(kTrain, kTrain, 0.0);
         for (std::size_t i = 0; i < kTrain; ++i) {
             for (std::size_t j = 0; j < kTrain; ++j)
-                k(i, j) = surrogate::kernelValue(params, x[i], x[j]);
+                k(i, j) = surrogate::kernelValue(params, train[i], train[j]);
             k(i, i) += params.noise;
         }
         chol = std::make_unique<linalg::Cholesky>(std::move(k));
         kstar = linalg::Matrix(kTrain, kPool, 0.0);
         for (std::size_t i = 0; i < kTrain; ++i)
             for (std::size_t j = 0; j < kPool; ++j)
-                kstar(i, j) = surrogate::kernelValue(params, q[j], x[i]);
+                kstar(i, j) =
+                    surrogate::kernelValue(params, pool[j], train[i]);
         columns.assign(kPool, linalg::Vector(kTrain));
         for (std::size_t j = 0; j < kPool; ++j)
             for (std::size_t i = 0; i < kTrain; ++i)
                 columns[j][i] = kstar(i, j);
     }
 
+    surrogate::KernelParams params; ///< defaults: Matérn-5/2
+    std::vector<std::vector<double>> train, pool;
     std::unique_ptr<linalg::Cholesky> chol;
     linalg::Matrix kstar;
     std::vector<linalg::Vector> columns;
@@ -487,8 +492,58 @@ BM_SolveLowerColumns(benchmark::State &state)
             PoolSolveFixture::kTrain - 1, PoolSolveFixture::kPool - 1);
     benchmark::DoNotOptimize(sink);
     setNsPerSolve(state);
+    // Which lane-width instance the ratio guard measured.
+    state.counters["lane_doubles"] = static_cast<double>(
+        linalg::detail::activeLanePath().laneDoubles);
 }
 BENCHMARK(BM_SolveLowerColumns);
+
+void
+setNsPerKernelStar(benchmark::State &state)
+{
+    state.counters["ns_per_kstar"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/** K* for one proposal, one kernelValue() call per entry. */
+void
+BM_KernelStarPerEntry(benchmark::State &state)
+{
+    const PoolSolveFixture f;
+    linalg::Matrix kstar(PoolSolveFixture::kTrain, PoolSolveFixture::kPool);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < PoolSolveFixture::kTrain; ++i) {
+            double *row = kstar.row(i);
+            for (std::size_t j = 0; j < PoolSolveFixture::kPool; ++j)
+                row[j] = surrogate::kernelValue(f.params, f.pool[j],
+                                                f.train[i]);
+        }
+        benchmark::DoNotOptimize(kstar.row(0));
+        benchmark::ClobberMemory();
+    }
+    setNsPerKernelStar(state);
+}
+BENCHMARK(BM_KernelStarPerEntry);
+
+/** The same K*, row by row over an axis-major pool (production). */
+void
+BM_KernelStarRows(benchmark::State &state)
+{
+    const PoolSolveFixture f;
+    linalg::Matrix kstar(PoolSolveFixture::kTrain, PoolSolveFixture::kPool);
+    for (auto _ : state) {
+        const std::vector<double> pool = surrogate::axisMajor(f.pool);
+        for (std::size_t i = 0; i < PoolSolveFixture::kTrain; ++i)
+            surrogate::kernelRow(f.params, pool.data(),
+                                 PoolSolveFixture::kPool, f.train[i],
+                                 kstar.row(i));
+        benchmark::DoNotOptimize(kstar.row(0));
+        benchmark::ClobberMemory();
+    }
+    setNsPerKernelStar(state);
+}
+BENCHMARK(BM_KernelStarRows);
 
 void
 BM_Hypervolume3d(benchmark::State &state)

@@ -1,8 +1,9 @@
 #include "linalg/matrix.hh"
 
+#include "linalg/lanes.hh"
+
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 namespace unico::linalg {
@@ -173,45 +174,8 @@ Matrix
 Cholesky::solveLowerColumns(const Matrix &b) const
 {
     assert(ok_);
-    const std::size_t n = l_.rows();
-    assert(b.rows() == n);
-    const std::size_t m = b.cols();
-    // Columns are solved kBlock at a time. A block's solved rows live
-    // in a zero-padded panel of kLanes two-double vectors per row, so
-    // one load of l_ik serves kBlock columns and the accumulators stay
-    // in registers. Vector arithmetic is lane-wise IEEE, so each lane
-    // computes exactly solveLower()'s sequence for its column:
-    // acc = b_i, then acc -= l_ik * y_k for k ascending, then
-    // y_i = acc / l_ii. No column's sum is reassociated.
-    using Lanes = double __attribute__((vector_size(16)));
-    constexpr std::size_t kLanes = 8;
-    constexpr std::size_t kBlock = 2 * kLanes;
-    std::vector<Lanes> panel(n * kLanes);
-    Matrix y(n, m, 0.0);
-    for (std::size_t c0 = 0; c0 < m; c0 += kBlock) {
-        const std::size_t width = std::min(kBlock, m - c0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double *l_row = l_.row(i);
-            double row[kBlock] = {};
-            std::copy_n(b.row(i) + c0, width, row);
-            Lanes acc[kLanes];
-            std::memcpy(acc, row, sizeof acc);
-            for (std::size_t k = 0; k < i; ++k) {
-                const double lik = l_row[k];
-                const Lanes *y_k = &panel[k * kLanes];
-#pragma GCC unroll 8
-                for (std::size_t c = 0; c < kLanes; ++c)
-                    acc[c] -= lik * y_k[c];
-            }
-#pragma GCC unroll 8
-            for (std::size_t c = 0; c < kLanes; ++c)
-                acc[c] /= l_row[i];
-            std::copy_n(acc, kLanes, &panel[i * kLanes]);
-            std::memcpy(row, acc, sizeof acc);
-            std::copy_n(row, width, y.row(i) + c0);
-        }
-    }
-    return y;
+    assert(b.rows() == l_.rows());
+    return detail::activeLanePath().solveLowerColumns(l_, b);
 }
 
 Vector

@@ -133,7 +133,9 @@ class Cholesky
      * forward substitution). Every column repeats solveLower()'s exact
      * operation order, so column j of the result is bitwise equal to
      * solveLower() of column j of B; the blocking only lets one pass
-     * over L serve a block of columns at once.
+     * over L serve a block of columns at once. Runs the widest
+     * vector-lane instance the CPU supports (linalg/lanes.hh); all
+     * instances give the same bits.
      */
     Matrix solveLowerColumns(const Matrix &b) const;
 

@@ -284,16 +284,16 @@ GaussianProcess::predictBatch(const std::vector<std::vector<double>> &xs) const
         return out;
     }
     // K* is n x m, one column per query point, so L⁻¹K* is a single
-    // multi-RHS solve. The mean and explained-variance sums run over
-    // rows i = 0..n-1 for every column, predict()'s order.
+    // multi-RHS solve. Each row k(x_j, x_i), j = 0..m-1, is one
+    // kernelRow() over an axis-major copy of the pool. The mean and
+    // explained-variance sums run over rows i = 0..n-1 for every
+    // column, predict()'s order.
     const std::size_t n = x_.size();
     const std::size_t m = xs.size();
+    const std::vector<double> pool = axisMajor(xs);
     linalg::Matrix kstar(n, m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        double *row = kstar.row(i);
-        for (std::size_t j = 0; j < m; ++j)
-            row[j] = kernelValue(params_, xs[j], x_[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        kernelRow(params_, pool.data(), m, x_[i], kstar.row(i));
     std::vector<double> mean_std(m, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         const double *row = kstar.row(i);

@@ -6,6 +6,7 @@
 #ifndef UNICO_SURROGATE_KERNEL_HH
 #define UNICO_SURROGATE_KERNEL_HH
 
+#include <cstddef>
 #include <vector>
 
 namespace unico::surrogate {
@@ -32,6 +33,24 @@ struct KernelParams
 /** k(x, z) for the given parameters. */
 double kernelValue(const KernelParams &params, const std::vector<double> &x,
                    const std::vector<double> &z);
+
+/**
+ * Copy @p points into axis-major order: coordinate a of point j lands
+ * at [a * points.size() + j]. The layout kernelRow() reads.
+ */
+std::vector<double>
+axisMajor(const std::vector<std::vector<double>> &points);
+
+/**
+ * out[j] = k(x_j, z) for the @p count points of the axis-major
+ * buffer @p points (see axisMajor()), bitwise equal to kernelValue()
+ * on each: r² accumulates axis by axis in kernelValue()'s order, with
+ * its division by the lengthscale, so the loops over j vectorize
+ * without reordering any point's sum.
+ */
+void kernelRow(const KernelParams &params, const double *points,
+               std::size_t count, const std::vector<double> &z,
+               double *out);
 
 } // namespace unico::surrogate
 

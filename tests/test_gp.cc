@@ -7,8 +7,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hh"
+#include "common/statistics.hh"
 #include "surrogate/gp.hh"
 
 using namespace unico::surrogate;
@@ -424,5 +426,125 @@ TEST(Gp, RefitTargetsBitIdenticalToFreshFit)
                 expectSamePrediction(batch[j], fresh.predict(pool[j]));
             }
         }
+    }
+}
+
+TEST(Kernel, RowBitIdenticalToKernelValue)
+{
+    // kernelRow() over an axis-major pool must reproduce kernelValue()
+    // on every point bit for bit, across widths around the vector
+    // lengths, at coincident points (r² = 0) and at far points where
+    // exp underflows to zero.
+    Rng rng(37);
+    for (const KernelKind kind :
+         {KernelKind::SquaredExponential, KernelKind::Matern52}) {
+        for (const bool ard : {false, true}) {
+            KernelParams params;
+            params.kind = kind;
+            params.lengthscale = 0.3;
+            params.variance = 1.7;
+            if (ard)
+                params.ardLengthscales = {0.2, 0.5, 0.9, 1.6, 0.35};
+            for (const std::size_t m : {1u, 7u, 8u, 9u, 33u, 240u}) {
+                std::vector<double> z(5);
+                for (auto &v : z)
+                    v = rng.uniform();
+                std::vector<std::vector<double>> points(m);
+                for (std::size_t j = 0; j < m; ++j) {
+                    if (j % 5 == 0) {
+                        points[j] = z; // coincident
+                        continue;
+                    }
+                    const double spread = (j % 5 == 1) ? 1e5 : 1.0;
+                    points[j].resize(5);
+                    for (auto &v : points[j])
+                        v = spread * rng.uniform();
+                }
+                std::vector<double> row(m);
+                kernelRow(params, axisMajor(points).data(), m, z,
+                          row.data());
+                for (std::size_t j = 0; j < m; ++j) {
+                    const double want = kernelValue(params, points[j], z);
+                    EXPECT_TRUE(sameBits(row[j], want))
+                        << "kind " << static_cast<int>(kind) << " ard "
+                        << ard << " m " << m << " point " << j << ": "
+                        << row[j] << " vs " << want;
+                    if (j % 5 == 0) {
+                        EXPECT_EQ(row[j], params.variance);
+                    } else if (j % 5 == 1) {
+                        EXPECT_EQ(row[j], 0.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Gp, DuplicateInputsPredictBatchMatchesPredict)
+{
+    // Two inputs observed 128 times each (plus a scatter of distinct
+    // ones) with zero noise make K singular, so the factor only exists
+    // through the jitter ladder. At the duplicated inputs the jittered
+    // posterior variance (~1e-10 / 128 in standardized units) is below
+    // the 1e-12 floor, so the clamp fires. The batch path must still
+    // match predict() bit for bit, and every value must be finite.
+    Rng rng(43);
+    std::vector<std::vector<double>> distinct(2), x, pool;
+    std::vector<double> y;
+    for (auto &p : distinct)
+        p = {rng.uniform(), rng.uniform(), rng.uniform()};
+    for (int copy = 0; copy < 128; ++copy)
+        for (const auto &p : distinct) {
+            x.push_back(p);
+            y.push_back(p[0] + 0.1 * rng.gaussian());
+        }
+    for (int i = 0; i < 20; ++i) {
+        x.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+        y.push_back(x.back()[0] + 0.1 * rng.gaussian());
+    }
+    for (int j = 0; j < 60; ++j)
+        pool.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+    pool.insert(pool.end(), distinct.begin(), distinct.end());
+    pool.push_back(x.back()); // a distinct training point
+
+    for (const KernelKind kind :
+         {KernelKind::SquaredExponential, KernelKind::Matern52}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kind " << static_cast<int>(kind));
+        KernelParams params;
+        params.kind = kind;
+        params.lengthscale = 0.4;
+        params.noise = 0.0;
+
+        // The unjittered factorization fails, so the factor is of
+        // K + jitter·I: (L Lᵀ)_00 = l_00² exceeds K_00 by the rung.
+        unico::linalg::Matrix k(x.size(), x.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            for (std::size_t j = 0; j < x.size(); ++j)
+                k(i, j) = kernelValue(params, x[i], x[j]);
+        const unico::linalg::Cholesky chol(k);
+        ASSERT_TRUE(chol.ok());
+        const double l00 = chol.lower()(0, 0);
+        EXPECT_GE(l00 * l00 - k(0, 0), 0.5e-10);
+
+        GaussianProcess gp(params);
+        gp.fit(x, y);
+        ASSERT_TRUE(gp.trained());
+        const auto batch = gp.predictBatch(pool);
+        ASSERT_EQ(batch.size(), pool.size());
+        const double scale = unico::common::stddev(y);
+        const double floor = 1e-12 * scale * scale;
+        std::size_t clamped = 0;
+        for (std::size_t j = 0; j < pool.size(); ++j) {
+            SCOPED_TRACE(::testing::Message() << "point " << j);
+            const Prediction want = gp.predict(pool[j]);
+            expectSamePrediction(batch[j], want);
+            EXPECT_TRUE(std::isfinite(want.mean));
+            EXPECT_TRUE(std::isfinite(want.variance));
+            EXPECT_GE(want.variance, floor);
+            if (sameBits(want.variance, floor))
+                ++clamped;
+        }
+        EXPECT_EQ(clamped, distinct.size());
     }
 }

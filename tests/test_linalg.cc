@@ -7,8 +7,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
+#include "linalg/lanes.hh"
 #include "linalg/matrix.hh"
 
 using unico::linalg::Cholesky;
@@ -288,7 +292,19 @@ TEST(Cholesky, SolveLowerColumnsBitIdenticalToPerColumnSolves)
 {
     // The blocked multi-RHS solve must reproduce solveLower() column by
     // column bit for bit, including widths that are not a multiple of
-    // the column block and the single-row/single-column edges.
+    // any instance's column block and the single-row/single-column
+    // edges. Every lane-width instance this CPU runs is checked, plus
+    // the one solveLowerColumns() dispatches to.
+    const auto &all = unico::linalg::detail::lanePaths();
+    ASSERT_TRUE(all.front().supported()); // the baseline always runs
+    std::vector<const unico::linalg::detail::LanePath *> paths;
+    for (const auto &path : all) {
+        if (path.supported())
+            paths.push_back(&path);
+        else
+            std::cout << "[  SKIPPED ] lane path " << path.name
+                      << ": not supported on this CPU\n";
+    }
     unico::common::Rng rng(13);
     for (const std::size_t n : {1u, 2u, 17u, 256u}) {
         Matrix g(n, n);
@@ -299,24 +315,32 @@ TEST(Cholesky, SolveLowerColumnsBitIdenticalToPerColumnSolves)
         a.addDiagonal(static_cast<double>(n));
         const Cholesky chol(std::move(a));
         ASSERT_TRUE(chol.ok());
-        for (const std::size_t m : {1u, 7u, 16u, 17u, 240u}) {
+        for (const std::size_t m : {1u, 7u, 16u, 17u, 32u, 33u, 240u}) {
             Matrix b(n, m);
             for (std::size_t r = 0; r < n; ++r)
                 for (std::size_t c = 0; c < m; ++c)
                     b(r, c) = rng.gaussian();
-            const Matrix y = chol.solveLowerColumns(b);
-            ASSERT_EQ(y.rows(), n);
-            ASSERT_EQ(y.cols(), m);
+            std::vector<std::pair<const char *, Matrix>> results;
+            results.emplace_back("dispatched", chol.solveLowerColumns(b));
+            for (const auto *path : paths)
+                results.emplace_back(
+                    path->name, path->solveLowerColumns(chol.lower(), b));
+            for (const auto &[name, y] : results) {
+                ASSERT_EQ(y.rows(), n) << name;
+                ASSERT_EQ(y.cols(), m) << name;
+            }
             for (std::size_t c = 0; c < m; ++c) {
                 Vector col(n);
                 for (std::size_t r = 0; r < n; ++r)
                     col[r] = b(r, c);
                 const Vector ref = chol.solveLower(col);
-                for (std::size_t r = 0; r < n; ++r) {
-                    const double got = y(r, c);
-                    ASSERT_EQ(std::memcmp(&got, &ref[r], sizeof got), 0)
-                        << "n=" << n << " m=" << m << " row " << r
-                        << " col " << c;
+                for (const auto &[name, y] : results) {
+                    for (std::size_t r = 0; r < n; ++r) {
+                        const double got = y(r, c);
+                        ASSERT_EQ(std::memcmp(&got, &ref[r], sizeof got), 0)
+                            << name << " n=" << n << " m=" << m << " row "
+                            << r << " col " << c;
+                    }
                 }
             }
         }
