@@ -218,7 +218,8 @@ main(int argc, char **argv)
                 "wall(ms)", "overhead", "replayed", "identical");
 
     for (const int target_kills : kill_counts) {
-        const std::string tag = "k" + std::to_string(target_kills);
+        std::string tag = "k";
+        tag += std::to_string(target_kills);
         cleanup(tag);
         Lcg rng(0x5eed0000ULL + target_kills);
         int kills = 0, runs = 0, replayed = 0;

@@ -835,7 +835,9 @@ CoSearch::runTrial()
     completedIters_ = iter_ + 1;
     ++iter_;
 
-    emit(ProgressEvent{ProgressKind::TrialCompleted});
+    ProgressEvent trial;
+    trial.kind = ProgressKind::TrialCompleted;
+    emit(std::move(trial));
     const int front_delta = static_cast<int>(result_.front.size()) -
                             static_cast<int>(front_before);
     if (front_delta != 0) {

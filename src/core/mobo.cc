@@ -118,7 +118,11 @@ MoboHwSampler::proposeOne(BatchModel &model,
             else
                 gp.fitWithHyperopt(model.x, s, cfg_.maxGpPoints,
                                    cfg_.gpThreads);
-            if (gp.trained()) {
+            // A search whose every LML is NaN (non-finite targets)
+            // leaves the default kernel in place; keep it untuned so
+            // a later batch searches again.
+            if (gp.trained() &&
+                std::isfinite(gp.logMarginalLikelihood())) {
                 kernelParams_ = gp.params();
                 kernelTuned_ = true;
             }
@@ -159,10 +163,10 @@ MoboHwSampler::proposeOne(BatchModel &model,
 
     // Expected-improvement maximization over the pool, skipping
     // configurations already evaluated or already in this batch.
-    // Duplicate pool entries are scored once: the strict '>' argmax
-    // means a repeat could never win anyway. The survivors are
-    // scored in one batched posterior, then the argmax runs in pool
-    // order.
+    // Duplicate pool entries are scored once: the first maximum in
+    // pool order wins, so a repeat could never win anyway. The GP
+    // returns that first maximum, solving only the candidates whose
+    // EI bound can still reach it.
     std::set<accel::HwPoint> scored;
     std::vector<const accel::HwPoint *> cands;
     std::vector<std::vector<double>> xs;
@@ -176,19 +180,11 @@ MoboHwSampler::proposeOne(BatchModel &model,
         cands.push_back(&cand);
         xs.push_back(space_.normalize(cand));
     }
-    const auto preds = gp.predictBatch(xs);
-    double best_ei = -1.0;
-    const accel::HwPoint *best = nullptr;
-    for (std::size_t j = 0; j < preds.size(); ++j) {
-        const double ei = surrogate::expectedImprovement(preds[j], incumbent);
-        if (ei > best_ei) {
-            best_ei = ei;
-            best = cands[j];
-        }
-    }
-    if (best == nullptr)
+    const surrogate::EiArgmax best =
+        gp.argmaxExpectedImprovement(xs, incumbent);
+    if (!best.index)
         return space_.randomPoint(rng_);
-    return *best;
+    return *cands[*best.index];
 }
 
 std::vector<accel::HwPoint>

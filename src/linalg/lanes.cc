@@ -119,9 +119,11 @@ const std::vector<LanePath> &
 lanePaths()
 {
     static const std::vector<LanePath> paths = {
-        {"baseline-16B", kDoubles16, alwaysSupported, solveBaseline},
+        {"baseline-16B", kDoubles16, kAcc16 * kDoubles16, alwaysSupported,
+         solveBaseline},
 #if defined(__x86_64__)
-        {"avx512f-64B", kDoubles64, avx512Supported, solveAvx512},
+        {"avx512f-64B", kDoubles64, kAcc64 * kDoubles64, avx512Supported,
+         solveAvx512},
 #endif
     };
     return paths;

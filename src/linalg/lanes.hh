@@ -22,6 +22,7 @@ struct LanePath
 {
     const char *name;
     std::size_t laneDoubles; ///< doubles per vector register
+    std::size_t panelColumns; ///< columns that share one pass over L
     /** True when this CPU (and its OS) can run the instance. */
     bool (*supported)();
     /** Y = L⁻¹B for a lower-triangular L; bitwise equal across

@@ -178,6 +178,12 @@ Cholesky::solveLowerColumns(const Matrix &b) const
     return detail::activeLanePath().solveLowerColumns(l_, b);
 }
 
+std::size_t
+Cholesky::solvePanelColumns()
+{
+    return detail::activeLanePath().panelColumns;
+}
+
 Vector
 Cholesky::solve(const Vector &b) const
 {

@@ -139,6 +139,13 @@ class Cholesky
      */
     Matrix solveLowerColumns(const Matrix &b) const;
 
+    /**
+     * Columns that share one pass over L in solveLowerColumns(): 32 on
+     * the AVX-512 instance, 16 on the baseline. A right-hand side of up
+     * to this many columns costs one pass; each further panel, another.
+     */
+    static std::size_t solvePanelColumns();
+
     /** Sum of log of diagonal entries of L (0.5 * log det A). */
     double halfLogDet() const;
 

@@ -12,6 +12,7 @@
 #ifndef UNICO_SURROGATE_GP_HH
 #define UNICO_SURROGATE_GP_HH
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -26,6 +27,18 @@ struct Prediction
 {
     double mean = 0.0;
     double variance = 1.0;
+};
+
+/** The winner of an expected-improvement argmax over a candidate pool. */
+struct EiArgmax
+{
+    /** Pool position of the first candidate with the largest EI;
+     *  empty when the pool is empty or every EI is NaN. */
+    std::optional<std::size_t> index;
+    double ei = -1.0; ///< the winner's expectedImprovement()
+    /** Candidates whose posterior variance was solved (the rest were
+     *  pruned by their prior-variance bound). */
+    std::size_t solved = 0;
 };
 
 /** Exact GP regressor with internal target standardization. */
@@ -103,6 +116,20 @@ class GaussianProcess
     std::vector<Prediction>
     predictBatch(const std::vector<std::vector<double>> &xs) const;
 
+    /**
+     * The candidate of @p xs with the largest expectedImprovement()
+     * against @p incumbent, ties to the lower index: the same winner,
+     * and the same EI bits, as a strict '>' scan of predictBatch() in
+     * pool order. Every candidate's posterior mean is computed, but
+     * the triangular solve for its variance runs only while its EI can
+     * still win, bounded from above by the prior variance (see
+     * expectedImprovementBound()); candidates are solved one
+     * solveLowerColumns() panel at a time in descending-bound order.
+     */
+    EiArgmax
+    argmaxExpectedImprovement(const std::vector<std::vector<double>> &xs,
+                              double incumbent) const;
+
     /** Log marginal likelihood of the current fit. */
     double logMarginalLikelihood() const;
 
@@ -134,6 +161,26 @@ class GaussianProcess
      *  refitTargets() so both paths are the same arithmetic. */
     void solveTargets(FitResult &fit) const;
 
+    /** K*: row i holds k(x_j, x_i) for every point x_j of @p xs. */
+    linalg::Matrix crossCovariance(
+        const std::vector<std::vector<double>> &xs) const;
+
+    /** Σ_i K*_ij α_i for every column j of @p kstar, in predict()'s
+     *  row order. */
+    std::vector<double> meanSums(const linalg::Matrix &kstar) const;
+
+    /** Σ_i v_ij² for v = L⁻¹K* restricted to the @p count columns
+     *  @p cols of @p kstar, in predict()'s row order: one
+     *  solveLowerColumns() over the gathered columns. */
+    std::vector<double> explainedSums(const linalg::Matrix &kstar,
+                                      const std::size_t *cols,
+                                      std::size_t count) const;
+
+    /** The posterior from a point's standardized mean sum, its prior
+     *  variance k(x, x) and its explained variance. */
+    Prediction posterior(double mean_std, double prior,
+                         double explained) const;
+
     /** Adopt a fit as the current posterior. */
     void install(FitResult fit);
 
@@ -157,8 +204,13 @@ class GaussianProcess
  */
 double expectedImprovement(const Prediction &pred, double best);
 
-/** Lower confidence bound mean - beta * stddev (minimization). */
-double lowerConfidenceBound(const Prediction &pred, double beta);
+/**
+ * An upper bound on expectedImprovement() at @p pred's mean for every
+ * variance up to @p pred.variance, floating-point rounding included:
+ * EI at that variance plus a margin (see the comment at the
+ * definition).
+ */
+double expectedImprovementBound(const Prediction &pred, double best);
 
 } // namespace unico::surrogate
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -175,13 +178,6 @@ TEST(Acquisition, EiGrowsWithUncertainty)
     Prediction uncertain{4.0, 4.0};
     EXPECT_GT(expectedImprovement(uncertain, 4.0),
               expectedImprovement(certain, 4.0));
-}
-
-TEST(Acquisition, LcbBelowMean)
-{
-    Prediction pred{3.0, 4.0};
-    EXPECT_DOUBLE_EQ(lowerConfidenceBound(pred, 1.0), 1.0);
-    EXPECT_DOUBLE_EQ(lowerConfidenceBound(pred, 0.0), 3.0);
 }
 
 TEST(Kernel, ArdLengthscalesOverrideShared)
@@ -547,4 +543,248 @@ TEST(Gp, DuplicateInputsPredictBatchMatchesPredict)
         }
         EXPECT_EQ(clamped, distinct.size());
     }
+}
+
+namespace {
+
+/** The acquisition the MOBO sampler ran before pruning: predict() and
+ *  expectedImprovement() per point, then a strict '>' scan in pool
+ *  order from -1. */
+EiArgmax
+referenceArgmax(const GaussianProcess &gp,
+                const std::vector<std::vector<double>> &xs, double incumbent)
+{
+    EiArgmax best;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        const double ei = expectedImprovement(gp.predict(xs[j]), incumbent);
+        if (ei > best.ei) {
+            best.ei = ei;
+            best.index = j;
+        }
+    }
+    return best;
+}
+
+/** Checks the pruned argmax against the reference and returns how
+ *  many candidates it solved. */
+std::size_t
+expectSameArgmax(const GaussianProcess &gp,
+                 const std::vector<std::vector<double>> &xs,
+                 double incumbent)
+{
+    const EiArgmax want = referenceArgmax(gp, xs, incumbent);
+    const EiArgmax got = gp.argmaxExpectedImprovement(xs, incumbent);
+    EXPECT_EQ(got.index, want.index);
+    if (want.index) {
+        EXPECT_TRUE(sameBits(got.ei, want.ei))
+            << got.ei << " vs " << want.ei;
+    }
+    EXPECT_LE(got.solved, xs.size());
+    return got.solved;
+}
+
+std::vector<double>
+randomPoint(Rng &rng, std::size_t dims)
+{
+    std::vector<double> p(dims);
+    for (auto &v : p)
+        v = rng.uniform();
+    return p;
+}
+
+/** A smooth 5-D target with a strong trend along axis 0. */
+double
+smoothTarget(const std::vector<double> &p, Rng &rng)
+{
+    return std::sin(4.0 * p[0]) + 2.0 * p[0] + p[1] * p[2] - 0.3 * p[4] +
+           0.05 * rng.gaussian();
+}
+
+} // namespace
+
+TEST(Gp, PrunedArgmaxMatchesFullArgmax)
+{
+    Rng rng(47);
+    for (const KernelKind kind :
+         {KernelKind::SquaredExponential, KernelKind::Matern52}) {
+        for (const bool ard : {false, true}) {
+            KernelParams params;
+            params.kind = kind;
+            params.lengthscale = 0.4;
+            if (ard)
+                params.ardLengthscales = {0.2, 0.5, 0.9, 1.6, 0.35};
+            for (const std::size_t n : {4u, 17u, 120u, 256u}) {
+                std::vector<std::vector<double>> x;
+                std::vector<double> y;
+                for (std::size_t i = 0; i < n; ++i) {
+                    x.push_back(randomPoint(rng, 5));
+                    y.push_back(smoothTarget(x.back(), rng));
+                }
+                GaussianProcess gp(params);
+                gp.fit(x, y);
+                ASSERT_TRUE(gp.trained());
+                const double incumbent =
+                    *std::min_element(y.begin(), y.end());
+                for (const std::size_t m : {0u, 1u, 31u, 32u, 33u, 240u}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "kind " << static_cast<int>(kind)
+                                 << " ard " << ard << " n " << n << " m "
+                                 << m);
+                    std::vector<std::vector<double>> pool;
+                    for (std::size_t j = 0; j < m; ++j)
+                        pool.push_back(j % 7 == 3 ? x[j % n]
+                                                  : randomPoint(rng, 5));
+                    // Incumbents below the best target leave EI to
+                    // the variance, so the winner can sit panels deep
+                    // in bound order.
+                    for (const double shift : {0.0, -0.5, -2.0, 1.0})
+                        expectSameArgmax(gp, pool, incumbent + shift);
+                }
+            }
+        }
+    }
+
+    // Edge cases, on a 240-point pool.
+    std::vector<std::vector<double>> pool;
+    for (int j = 0; j < 240; ++j)
+        pool.push_back(randomPoint(rng, 5));
+
+    // Untrained: every candidate has the prior, so the first wins.
+    {
+        const GaussianProcess gp;
+        const EiArgmax got = gp.argmaxExpectedImprovement(pool, 0.0);
+        EXPECT_EQ(got.index, std::optional<std::size_t>(0));
+        EXPECT_EQ(got.solved, 0u);
+        EXPECT_FALSE(gp.argmaxExpectedImprovement({}, 0.0).index);
+    }
+
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (int i = 0; i < 120; ++i) {
+        x.push_back(randomPoint(rng, 5));
+        y.push_back(smoothTarget(x.back(), rng));
+    }
+    const double incumbent = *std::min_element(y.begin(), y.end());
+
+    // Duplicate pool entries: equal EIs, the lower index must win.
+    {
+        GaussianProcess gp;
+        gp.fit(x, y);
+        std::vector<std::vector<double>> dup;
+        for (int j = 0; j < 40; ++j)
+            for (int copy = 0; copy < 3; ++copy)
+                dup.push_back(pool[static_cast<std::size_t>(j)]);
+        expectSameArgmax(gp, dup, incumbent);
+        const EiArgmax got = gp.argmaxExpectedImprovement(dup, incumbent);
+        ASSERT_TRUE(got.index);
+        EXPECT_EQ(*got.index % 3, 0u);
+    }
+
+    // A NaN incumbent makes every EI and every bound NaN: all are
+    // solved and none wins, as in the scan.
+    {
+        GaussianProcess gp;
+        gp.fit(x, y);
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        const EiArgmax got = gp.argmaxExpectedImprovement(pool, nan);
+        EXPECT_FALSE(got.index);
+        EXPECT_EQ(got.solved, pool.size());
+        EXPECT_FALSE(referenceArgmax(gp, pool, nan).index);
+    }
+
+    // Constant targets: equal means everywhere, the variance decides.
+    {
+        GaussianProcess gp;
+        gp.fit(x, std::vector<double>(x.size(), 2.5));
+        ASSERT_TRUE(gp.trained());
+        expectSameArgmax(gp, pool, 2.5);
+    }
+
+    // Duplicate training inputs with zero noise: the jittered factor
+    // drives the variance at the duplicated points into the clamp.
+    {
+        KernelParams params;
+        params.noise = 0.0;
+        std::vector<std::vector<double>> xd;
+        std::vector<double> yd;
+        for (int copy = 0; copy < 64; ++copy)
+            for (int k = 0; k < 2; ++k) {
+                xd.push_back(x[static_cast<std::size_t>(k)]);
+                yd.push_back(y[static_cast<std::size_t>(k)]);
+            }
+        xd.insert(xd.end(), x.begin() + 2, x.begin() + 40);
+        yd.insert(yd.end(), y.begin() + 2, y.begin() + 40);
+        GaussianProcess gp(params);
+        gp.fit(xd, yd);
+        ASSERT_TRUE(gp.trained());
+        std::vector<std::vector<double>> clamped = {x[0], x[1]};
+        clamped.insert(clamped.end(), pool.begin(), pool.begin() + 60);
+        expectSameArgmax(gp, clamped, incumbent);
+    }
+
+    // How much the bound prunes depends on how far the posterior
+    // variance falls below the prior's. A tiny lengthscale leaves
+    // every candidate at the prior, with equal EIs, so nothing is
+    // pruned; at a moderate one the first panel's winner rules out
+    // every other panel. A huge one shrinks every posterior variance
+    // far below the prior while no mean beats the incumbent, so no
+    // bound falls below the winner's small EI and nothing is pruned.
+    const auto solvedAt = [&](double lengthscale) {
+        KernelParams params;
+        params.lengthscale = lengthscale;
+        GaussianProcess gp(params);
+        gp.fit(x, y);
+        EXPECT_TRUE(gp.trained());
+        return expectSameArgmax(gp, pool, incumbent);
+    };
+    EXPECT_EQ(solvedAt(1e-3), pool.size());
+    EXPECT_EQ(solvedAt(0.4), unico::linalg::Cholesky::solvePanelColumns());
+    EXPECT_EQ(solvedAt(100.0), pool.size());
+}
+
+TEST(Acquisition, EiBoundDominatesFloatEi)
+{
+    // Floating-point EI is not exactly monotone in sigma, so the bound
+    // carries a margin; it must dominate EI at every smaller sigma,
+    // including sigmas within a few ulps of the bound's, over twelve
+    // decades of scale.
+    Rng rng(59);
+    std::size_t bare_violations = 0;
+    for (int draw = 0; draw < 400000; ++draw) {
+        const double scale = std::pow(10.0, -6.0 + 12.0 * rng.uniform());
+        const double best = scale * (10.0 * rng.uniform() - 5.0);
+        const double sigma_ub = scale * (0.01 + rng.uniform());
+        const double z = -40.0 + 80.0 * rng.uniform();
+        Prediction ub;
+        ub.mean = best - z * sigma_ub;
+        ub.variance = sigma_ub * sigma_ub;
+        const double bound = expectedImprovementBound(ub, best);
+        const double bare = expectedImprovement(ub, best);
+        double sigma = sigma_ub;
+        switch (draw % 4) {
+          case 0:
+            sigma = sigma_ub * rng.uniform();
+            break;
+          case 1:
+            sigma = sigma_ub * (1.0 - 1e-6 * rng.uniform());
+            break;
+          case 2:
+            for (int step = 1 + draw % 16; step > 0; --step)
+                sigma = std::nextafter(sigma, 0.0);
+            break;
+          default:
+            break;
+        }
+        Prediction pred = ub;
+        pred.variance = std::min(sigma * sigma, ub.variance);
+        const double ei = expectedImprovement(pred, best);
+        ASSERT_LE(ei, bound) << "z " << z << " sigma " << sigma
+                             << " sigma_ub " << sigma_ub << " best "
+                             << best;
+        if (ei > bare)
+            ++bare_violations;
+    }
+    // Without the margin the bound would fail: EI at sigma_ub itself
+    // is exceeded by EI at some smaller sigma (~5 % of these draws).
+    EXPECT_GT(bare_violations, 0u);
 }

@@ -132,7 +132,9 @@ makeLayers(const std::vector<std::int64_t> &counts)
 {
     std::vector<WeightedOp> layers;
     for (std::size_t i = 0; i < counts.size(); ++i) {
-        WeightedOp wop{TensorOp::conv("l" + std::to_string(i), 8, 4,
+        std::string name = "l";
+        name += std::to_string(i);
+        WeightedOp wop{TensorOp::conv(name, 8, 4,
                                       10 + static_cast<std::int64_t>(i),
                                       10, 3, 3),
                        counts[i]};

@@ -199,6 +199,48 @@ TEST(Mobo, GpFitFailureDegradesToSpaceFilling)
     EXPECT_EQ(sampler.gpFallbacks(), 8u);
 }
 
+TEST(Mobo, NanObjectiveDegradesToSpaceFilling)
+{
+    // One NaN objective among finite high-fidelity observations turns
+    // every ParEGO target set non-finite, so every hyperparameter fit
+    // has a NaN LML. With randomFraction 0 each slot is model-guided
+    // and must fall back to a random in-space point, once per slot,
+    // deterministically. The failed search must not mark the kernel
+    // tuned: that would freeze the default kernel for the rest of the
+    // run (and in checkpoints) once the NaN leaves the window.
+    const auto ds = makeSpace();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto prepare = [&](MoboHwSampler &sampler) {
+        common::Rng rng(61);
+        for (int i = 0; i < 24; ++i) {
+            const auto h = ds.randomPoint(rng);
+            sampler.observe(h, syntheticY(ds, h), true);
+        }
+        const auto h = ds.randomPoint(rng);
+        sampler.observe(h, {nan, 1.0, 1.0}, true);
+    };
+    MoboHwSampler sampler(ds, 3, 61);
+    MoboHwSampler twin(ds, 3, 61);
+    prepare(sampler);
+    prepare(twin);
+
+    const auto batch = sampler.sampleBatch(8);
+    ASSERT_EQ(batch.size(), 8u);
+    for (const auto &h : batch)
+        EXPECT_TRUE(ds.contains(h));
+    EXPECT_EQ(sampler.gpFallbacks(), 8u);
+    EXPECT_FALSE(sampler.saveState().at("kernelTuned").asBool());
+    EXPECT_EQ(twin.sampleBatch(8), batch);
+    EXPECT_EQ(twin.gpFallbacks(), 8u);
+
+    // Once the NaN observation leaves the high-fidelity set, the next
+    // batch tunes the kernel and proposes without falling back.
+    sampler.setHighFidelity(sampler.observations() - 1, false);
+    sampler.sampleBatch(8);
+    EXPECT_EQ(sampler.gpFallbacks(), 8u);
+    EXPECT_TRUE(sampler.saveState().at("kernelTuned").asBool());
+}
+
 TEST(Mobo, HealthyFitDoesNotCountFallbacks)
 {
     const auto ds = makeSpace();
