@@ -553,10 +553,12 @@ BENCHMARK(BM_KernelStarRows);
  * normalized hardware design space). The targets are the sampler's
  * kind: a ParEGO scalarization of three smooth objectives scaled to
  * about [0, 1], with the kernel tuned by fitWithHyperopt(). The full path
- * solves every candidate's variance (predictBatch() + the pool-order
- * scan); the pruned path solves only the panels whose EI bound can
- * still win. Both pick the same candidate; CI guards the ns_per_acquire
- * ratio, and solved_frac reports the share the pruned path solved.
+ * builds and solves every candidate's exact K* column (predictBatch() +
+ * the pool-order scan); the pruned path screens the pool with the
+ * error-bounded vector kernel and builds and solves exact columns only
+ * for the panels whose EI bound can still win. Both pick the same
+ * candidate; CI guards the ns_per_acquire ratio, and exact_kstar_frac
+ * reports the share of K* columns the pruned path built exactly.
  */
 struct AcquireFixture
 {
@@ -647,7 +649,7 @@ BM_AcquirePruned(benchmark::State &state)
     }
     benchmark::DoNotOptimize(sink);
     setNsPerAcquire(state);
-    state.counters["solved_frac"] =
+    state.counters["exact_kstar_frac"] =
         solved / static_cast<double>(AcquireFixture::kPool);
 }
 BENCHMARK(BM_AcquirePruned);

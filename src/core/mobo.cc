@@ -10,6 +10,17 @@
 
 namespace unico::core {
 
+namespace {
+
+bool
+allFinite(const moo::Objectives &y)
+{
+    return std::all_of(y.begin(), y.end(),
+                       [](double v) { return std::isfinite(v); });
+}
+
+} // namespace
+
 MoboHwSampler::MoboHwSampler(const accel::DesignSpace &space,
                              std::size_t num_objectives,
                              std::uint64_t seed, MoboConfig cfg)
@@ -34,6 +45,8 @@ MoboHwSampler::observe(const accel::HwPoint &h, const moo::Objectives &y,
     all_.push_back(std::move(obs));
     seenKeys_.insert(h);
 
+    if (!allFinite(y))
+        return;
     if (ideal_.empty()) {
         ideal_ = y;
         nadir_ = y;
@@ -72,9 +85,10 @@ MoboHwSampler::normalize(const moo::Objectives &y) const
 
 /**
  * Surrogate state shared by the proposals of one batch: the
- * high-fidelity training set and the fitted GP. The training window
- * and the kernel parameters do not depend on the ParEGO weights, so
- * the Cholesky factor is the same for every proposal of the batch;
+ * high-fidelity training set (rows with finite objectives) and the
+ * fitted GP. The training window and the kernel parameters do not
+ * depend on the ParEGO weights, so the Cholesky factor is the same
+ * for every proposal of the batch;
  * once one proposal has fitted it, the rest only re-solve for their
  * own scalarized targets. Lives on sampleBatch()'s stack, so nothing
  * of it reaches a checkpoint.
@@ -192,8 +206,10 @@ MoboHwSampler::sampleBatch(std::size_t n)
 {
     const auto start = std::chrono::steady_clock::now();
     BatchModel model;
+    // A non-finite objective would make every ParEGO target of the
+    // window NaN, so such rows stay out of the training set.
     for (const auto &obs : all_) {
-        if (obs.highFidelity) {
+        if (obs.highFidelity && allFinite(obs.y)) {
             model.hf.push_back(&obs);
             model.x.push_back(obs.x);
         }

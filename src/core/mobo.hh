@@ -53,6 +53,8 @@ class MoboHwSampler
      * Record an evaluated hardware sample.
      * @param high_fidelity whether the sample passed the High
      *        Fidelity Update Rule (only these train the surrogate).
+     * A sample with a non-finite objective is recorded but never
+     * trains the surrogate and does not move the ideal/nadir bounds.
      */
     void observe(const accel::HwPoint &h, const moo::Objectives &y,
                  bool high_fidelity);

@@ -11,6 +11,8 @@
 
 #include "common/statistics.hh"
 #include "common/thread_pool.hh"
+#include "linalg/lanes.hh"
+#include "surrogate/kernel_screen.hh"
 
 namespace unico::surrogate {
 
@@ -309,26 +311,18 @@ GaussianProcess::meanSums(const linalg::Matrix &kstar) const
 }
 
 std::vector<double>
-GaussianProcess::explainedSums(const linalg::Matrix &kstar,
-                               const std::size_t *cols,
-                               std::size_t count) const
+GaussianProcess::explainedSums(const linalg::Matrix &kstar) const
 {
-    // The columns of L⁻¹K* are independent, so solving a gathered
-    // subset gives each the bits of the full multi-RHS solve.
+    // The columns of L⁻¹K* are independent, so solving any subset of
+    // a pool's columns gives each the bits of the full multi-RHS solve.
     const std::size_t n = kstar.rows();
-    linalg::Matrix rhs(n, count, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *src = kstar.row(i);
-        double *dst = rhs.row(i);
-        for (std::size_t c = 0; c < count; ++c)
-            dst[c] = src[cols[c]];
-    }
-    const linalg::Matrix v = chol_->solveLowerColumns(rhs);
-    std::vector<double> explained(count, 0.0);
+    const std::size_t m = kstar.cols();
+    const linalg::Matrix v = chol_->solveLowerColumns(kstar);
+    std::vector<double> explained(m, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         const double *row = v.row(i);
-        for (std::size_t c = 0; c < count; ++c)
-            explained[c] += row[c] * row[c];
+        for (std::size_t j = 0; j < m; ++j)
+            explained[j] += row[j] * row[j];
     }
     return explained;
 }
@@ -348,10 +342,7 @@ GaussianProcess::predictBatch(const std::vector<std::vector<double>> &xs) const
     const std::size_t m = xs.size();
     const linalg::Matrix kstar = crossCovariance(xs);
     const std::vector<double> mean_std = meanSums(kstar);
-    std::vector<std::size_t> all(m);
-    std::iota(all.begin(), all.end(), 0);
-    const std::vector<double> explained =
-        explainedSums(kstar, all.data(), m);
+    const std::vector<double> explained = explainedSums(kstar);
     for (std::size_t j = 0; j < m; ++j)
         out.push_back(posterior(mean_std[j],
                                 kernelValue(params_, xs[j], xs[j]),
@@ -380,18 +371,21 @@ GaussianProcess::argmaxExpectedImprovement(
         return best;
     }
 
+    // Screen: an interval around every exact standardized mean, from
+    // the approximate kernel in vector lanes. The interval's low end
+    // and the prior variance bound the EI from above: EI falls as the
+    // mean rises, and the explained variance is a sum of squares, so
+    // it is >= 0 (or NaN) and subtracting it cannot raise the rounded
+    // variance above the prior's.
     const std::size_t m = xs.size();
-    const linalg::Matrix kstar = crossCovariance(xs);
-    const std::vector<double> mean_std = meanSums(kstar);
+    const detail::MeanScreen screen = detail::screenMeans(
+        linalg::detail::activeLanePath(), params_, xs, x_, alpha_);
     std::vector<double> prior(m), bound(m);
     for (std::size_t j = 0; j < m; ++j) {
         prior[j] = kernelValue(params_, xs[j], xs[j]);
-        // Explained variance is a sum of squares, so it is >= 0 (or
-        // NaN), and subtracting it cannot raise the rounded variance
-        // above the prior's: posterior(μ, k**, 0) bounds the variance
-        // of posterior(μ, k**, explained) and has the same mean bits.
         bound[j] = expectedImprovementBound(
-            posterior(mean_std[j], prior[j], 0.0), incumbent);
+            posterior(screen.mean[j] - screen.slack[j], prior[j], 0.0),
+            incumbent);
         if (std::isnan(bound[j]))
             bound[j] = std::numeric_limits<double>::infinity();
     }
@@ -401,21 +395,27 @@ GaussianProcess::argmaxExpectedImprovement(
         return bound[a] > bound[b] || (bound[a] == bound[b] && a < b);
     });
 
-    // Solve panel by panel while the next bound can still reach the
-    // best exact EI; an equal bound may still tie at a lower index, so
-    // only a strictly smaller one stops the scan. Every candidate left
-    // has a bound, hence an EI, strictly below the winner's.
+    // Exact stage, panel by panel while the next bound can still reach
+    // the best exact EI: the panel's K* columns, their means in
+    // predict()'s order and their explained variances. An equal bound
+    // may still tie at a lower index, so only a strictly smaller one
+    // stops the scan. Every candidate left has a bound, hence an EI,
+    // strictly below the winner's.
     const std::size_t panel = linalg::Cholesky::solvePanelColumns();
     for (std::size_t pos = 0; pos < m; pos += panel) {
         if (bound[order[pos]] < best.ei)
             break;
         const std::size_t count = std::min(panel, m - pos);
-        const std::vector<double> explained =
-            explainedSums(kstar, order.data() + pos, count);
-        for (std::size_t c = 0; c < count; ++c) {
-            const std::size_t j = order[pos + c];
-            consider(j, posterior(mean_std[j], prior[j], explained[c]));
-        }
+        const std::size_t *cols = order.data() + pos;
+        std::vector<std::vector<double>> points(count);
+        for (std::size_t c = 0; c < count; ++c)
+            points[c] = xs[cols[c]];
+        const linalg::Matrix kstar = crossCovariance(points);
+        const std::vector<double> mean_std = meanSums(kstar);
+        const std::vector<double> explained = explainedSums(kstar);
+        for (std::size_t c = 0; c < count; ++c)
+            consider(cols[c],
+                     posterior(mean_std[c], prior[cols[c]], explained[c]));
         best.solved += count;
     }
     return best;
@@ -442,8 +442,9 @@ expectedImprovement(const Prediction &pred, double best)
 double
 expectedImprovementBound(const Prediction &pred, double best)
 {
-    // In exact arithmetic EI is increasing in σ (∂EI/∂σ = φ(z) > 0),
-    // so EI at the largest variance bounds EI at every smaller one.
+    // In exact arithmetic EI is increasing in σ (∂EI/∂σ = φ(z) > 0)
+    // and decreasing in μ (∂EI/∂μ = −Φ(z) < 0), so EI at the largest
+    // variance and the smallest mean bounds EI at every other pair.
     // expectedImprovement() in floating point is not exactly monotone:
     // rounding in σ, z, exp, erfc and the final sum moves it by a few
     // ulps of its two terms, |best − μ|·Φ(z) <= |best − μ| and
@@ -452,6 +453,9 @@ expectedImprovementBound(const Prediction &pred, double best)
     // EI(σ) > EI(σ_ub), by at most 3.8e-16·(|best − μ| + σ_ub). The
     // margin 1e-9·(|best − μ| + σ_ub) is over six orders of magnitude
     // above that, so the bare EI at σ_ub is never used as the bound.
+    // A mean above pred.mean leaves the error no larger: below best,
+    // |best − μ| shrinks; above it, |best − μ|·Φ(z) <= σ·φ(z) (Mills'
+    // ratio).
     // A NaN mean gives a NaN bound, which callers must treat as +∞.
     const double sigma_ub = std::sqrt(std::max(pred.variance, 1e-18));
     return expectedImprovement(pred, best) +

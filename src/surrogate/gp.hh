@@ -36,8 +36,8 @@ struct EiArgmax
      *  empty when the pool is empty or every EI is NaN. */
     std::optional<std::size_t> index;
     double ei = -1.0; ///< the winner's expectedImprovement()
-    /** Candidates whose posterior variance was solved (the rest were
-     *  pruned by their prior-variance bound). */
+    /** Candidates whose exact K* column was built and solved (the
+     *  rest were pruned by their screened EI bound). */
     std::size_t solved = 0;
 };
 
@@ -120,11 +120,12 @@ class GaussianProcess
      * The candidate of @p xs with the largest expectedImprovement()
      * against @p incumbent, ties to the lower index: the same winner,
      * and the same EI bits, as a strict '>' scan of predictBatch() in
-     * pool order. Every candidate's posterior mean is computed, but
-     * the triangular solve for its variance runs only while its EI can
-     * still win, bounded from above by the prior variance (see
-     * expectedImprovementBound()); candidates are solved one
-     * solveLowerColumns() panel at a time in descending-bound order.
+     * pool order. A vector screen first brackets every candidate's
+     * posterior mean with a proven error bound, which with the prior
+     * variance bounds its EI from above (expectedImprovementBound()).
+     * Exact cross-covariances, means and variances are then built one
+     * solveLowerColumns() panel at a time in descending-bound order,
+     * only while a candidate's EI can still win.
      */
     EiArgmax
     argmaxExpectedImprovement(const std::vector<std::vector<double>> &xs,
@@ -169,12 +170,9 @@ class GaussianProcess
      *  row order. */
     std::vector<double> meanSums(const linalg::Matrix &kstar) const;
 
-    /** Σ_i v_ij² for v = L⁻¹K* restricted to the @p count columns
-     *  @p cols of @p kstar, in predict()'s row order: one
-     *  solveLowerColumns() over the gathered columns. */
-    std::vector<double> explainedSums(const linalg::Matrix &kstar,
-                                      const std::size_t *cols,
-                                      std::size_t count) const;
+    /** Σ_i v_ij² for v = L⁻¹K*, in predict()'s row order: one
+     *  solveLowerColumns() over the columns of @p kstar. */
+    std::vector<double> explainedSums(const linalg::Matrix &kstar) const;
 
     /** The posterior from a point's standardized mean sum, its prior
      *  variance k(x, x) and its explained variance. */
@@ -205,8 +203,9 @@ class GaussianProcess
 double expectedImprovement(const Prediction &pred, double best);
 
 /**
- * An upper bound on expectedImprovement() at @p pred's mean for every
- * variance up to @p pred.variance, floating-point rounding included:
+ * An upper bound on expectedImprovement() for every mean at or above
+ * @p pred.mean and every variance up to @p pred.variance,
+ * floating-point rounding included:
  * EI at that variance plus a margin (see the comment at the
  * definition).
  */

@@ -8,13 +8,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/statistics.hh"
+#include "linalg/lanes.hh"
 #include "surrogate/gp.hh"
+#include "surrogate/kernel_screen.hh"
 
 using namespace unico::surrogate;
 using unico::common::Rng;
@@ -565,12 +568,56 @@ referenceArgmax(const GaussianProcess &gp,
     return best;
 }
 
+/** How many exact K* columns the panel scan builds when every bound
+ *  uses the candidate's exact mean instead of the screen's interval:
+ *  the fewest the screened argmax can hope for. @p y_scale is the GP's
+ *  target scale. */
+std::size_t
+exactMeanSolved(const GaussianProcess &gp,
+                const std::vector<std::vector<double>> &xs,
+                double incumbent, double y_scale)
+{
+    const std::size_t m = xs.size();
+    std::vector<double> bound(m), ei(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        const Prediction pred = gp.predict(xs[j]);
+        ei[j] = expectedImprovement(pred, incumbent);
+        Prediction ub = pred;
+        ub.variance = std::max(kernelValue(gp.params(), xs[j], xs[j]),
+                               1e-12) *
+                      y_scale * y_scale;
+        bound[j] = expectedImprovementBound(ub, incumbent);
+        if (std::isnan(bound[j]))
+            bound[j] = std::numeric_limits<double>::infinity();
+    }
+    std::vector<std::size_t> order(m);
+    for (std::size_t j = 0; j < m; ++j)
+        order[j] = j;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return bound[a] > bound[b] || (bound[a] == bound[b] && a < b);
+    });
+    const std::size_t panel = unico::linalg::Cholesky::solvePanelColumns();
+    double best = -1.0;
+    std::size_t solved = 0;
+    for (std::size_t pos = 0; pos < m && !(bound[order[pos]] < best);
+         pos += panel) {
+        const std::size_t count = std::min(panel, m - pos);
+        for (std::size_t c = 0; c < count; ++c)
+            if (ei[order[pos + c]] > best)
+                best = ei[order[pos + c]];
+        solved += count;
+    }
+    return solved;
+}
+
 /** Checks the pruned argmax against the reference and returns how
- *  many candidates it solved. */
+ *  many candidates it solved: whole panels, and at most one panel
+ *  more than exact-mean bounds would solve (@p y_scale as above; 0
+ *  skips that check). */
 std::size_t
 expectSameArgmax(const GaussianProcess &gp,
                  const std::vector<std::vector<double>> &xs,
-                 double incumbent)
+                 double incumbent, double y_scale = 0.0)
 {
     const EiArgmax want = referenceArgmax(gp, xs, incumbent);
     const EiArgmax got = gp.argmaxExpectedImprovement(xs, incumbent);
@@ -579,7 +626,14 @@ expectSameArgmax(const GaussianProcess &gp,
         EXPECT_TRUE(sameBits(got.ei, want.ei))
             << got.ei << " vs " << want.ei;
     }
+    const std::size_t panel = unico::linalg::Cholesky::solvePanelColumns();
+    EXPECT_TRUE(got.solved % panel == 0 || got.solved == xs.size())
+        << got.solved;
     EXPECT_LE(got.solved, xs.size());
+    if (y_scale > 0.0 && gp.trained()) {
+        EXPECT_LE(got.solved,
+                  exactMeanSolved(gp, xs, incumbent, y_scale) + panel);
+    }
     return got.solved;
 }
 
@@ -638,7 +692,8 @@ TEST(Gp, PrunedArgmaxMatchesFullArgmax)
                     // the variance, so the winner can sit panels deep
                     // in bound order.
                     for (const double shift : {0.0, -0.5, -2.0, 1.0})
-                        expectSameArgmax(gp, pool, incumbent + shift);
+                        expectSameArgmax(gp, pool, incumbent + shift,
+                                         unico::common::stddev(y));
                 }
             }
         }
@@ -692,12 +747,30 @@ TEST(Gp, PrunedArgmaxMatchesFullArgmax)
         EXPECT_FALSE(referenceArgmax(gp, pool, nan).index);
     }
 
-    // Constant targets: equal means everywhere, the variance decides.
+    // A NaN target makes every α NaN: every screened interval is
+    // unknown, so every column is built exactly, and none wins.
+    {
+        std::vector<double> y_nan = y;
+        y_nan[7] = std::numeric_limits<double>::quiet_NaN();
+        GaussianProcess gp;
+        gp.fit(x, y_nan);
+        ASSERT_TRUE(gp.trained());
+        ASSERT_TRUE(std::isnan(gp.alpha()[0]));
+        const EiArgmax got = gp.argmaxExpectedImprovement(pool, incumbent);
+        EXPECT_FALSE(got.index);
+        EXPECT_EQ(got.solved, pool.size());
+        EXPECT_FALSE(referenceArgmax(gp, pool, incumbent).index);
+    }
+
+    // Constant targets: α = 0, so the screen's means are exact (0)
+    // and every bound is EI at the prior variance with the mean on
+    // the incumbent. Those bounds are equal and above every posterior
+    // EI, so nothing is pruned.
     {
         GaussianProcess gp;
         gp.fit(x, std::vector<double>(x.size(), 2.5));
         ASSERT_TRUE(gp.trained());
-        expectSameArgmax(gp, pool, 2.5);
+        EXPECT_EQ(expectSameArgmax(gp, pool, 2.5, 1.0), pool.size());
     }
 
     // Duplicate training inputs with zero noise: the jittered factor
@@ -722,6 +795,59 @@ TEST(Gp, PrunedArgmaxMatchesFullArgmax)
         expectSameArgmax(gp, clamped, incumbent);
     }
 
+    // A dip: two near-duplicate inputs with different, very low
+    // targets at zero noise. Their |α| is huge, so the screened mean
+    // interval of a candidate near them is wide (thousands of
+    // standardized units). Plant one whose interval straddles the
+    // incumbent but whose exact mean lies far below it: the winner,
+    // found only if its bound comes from the interval's low end (from
+    // the high end its bound would be about 0 and it would be pruned).
+    {
+        KernelParams params;
+        params.noise = 0.0;
+        std::vector<std::vector<double>> xd(x.begin(), x.begin() + 60);
+        std::vector<double> yd(y.begin(), y.begin() + 60);
+        const double low = *std::min_element(yd.begin(), yd.end());
+        const std::vector<double> dip = randomPoint(rng, 5);
+        std::vector<double> twin = dip;
+        twin[0] += 1e-7;
+        xd.push_back(dip);
+        yd.push_back(low - 3.0);
+        xd.push_back(twin);
+        yd.push_back(low - 3.5);
+        GaussianProcess gp(params);
+        gp.fit(xd, yd);
+        ASSERT_TRUE(gp.trained());
+        const double best_std =
+            (low - unico::common::mean(yd)) / unico::common::stddev(yd);
+        std::optional<std::vector<double>> straddler;
+        for (int t = 0; t < 400 && !straddler; ++t) {
+            std::vector<double> p = dip;
+            for (auto &v : p)
+                v += 0.05 * rng.gaussian();
+            const detail::MeanScreen sc = detail::screenMeans(
+                unico::linalg::detail::activeLanePath(), gp.params(), {p},
+                xd, gp.alpha());
+            if (sc.mean[0] + sc.slack[0] > best_std + 1.0 &&
+                expectedImprovement(gp.predict(p), low) > 1.0)
+                straddler = p;
+        }
+        ASSERT_TRUE(straddler);
+        // The rest of the pool: points whose EI stays below the
+        // straddler's, so it is the one winner.
+        const double ei = expectedImprovement(gp.predict(*straddler), low);
+        std::vector<std::vector<double>> planted;
+        while (planted.size() < 240) {
+            std::vector<double> p = randomPoint(rng, 5);
+            if (expectedImprovement(gp.predict(p), low) < ei)
+                planted.push_back(std::move(p));
+        }
+        planted[200] = *straddler;
+        expectSameArgmax(gp, planted, low);
+        EXPECT_EQ(gp.argmaxExpectedImprovement(planted, low).index,
+                  std::optional<std::size_t>(200));
+    }
+
     // How much the bound prunes depends on how far the posterior
     // variance falls below the prior's. A tiny lengthscale leaves
     // every candidate at the prior, with equal EIs, so nothing is
@@ -735,18 +861,204 @@ TEST(Gp, PrunedArgmaxMatchesFullArgmax)
         GaussianProcess gp(params);
         gp.fit(x, y);
         EXPECT_TRUE(gp.trained());
-        return expectSameArgmax(gp, pool, incumbent);
+        return expectSameArgmax(gp, pool, incumbent,
+                                unico::common::stddev(y));
     };
     EXPECT_EQ(solvedAt(1e-3), pool.size());
     EXPECT_EQ(solvedAt(0.4), unico::linalg::Cholesky::solvePanelColumns());
     EXPECT_EQ(solvedAt(100.0), pool.size());
 }
 
+namespace {
+
+using unico::linalg::detail::LanePath;
+
+/** Every lane instance this CPU runs; the baseline always does. */
+std::vector<const LanePath *>
+supportedLanePaths()
+{
+    std::vector<const LanePath *> out;
+    for (const LanePath &path : unico::linalg::detail::lanePaths()) {
+        if (path.supported())
+            out.push_back(&path);
+        else
+            std::cout << "[  SKIPPED ] lane path " << path.name
+                      << " (not supported by this CPU)\n";
+    }
+    return out;
+}
+
+/** A point at squared scaled distance @p r2 from @p z along a random
+ *  direction, in the kernel's per-axis lengthscale units. */
+std::vector<double>
+pointAtSquaredDistance(Rng &rng, const KernelParams &params,
+                       const std::vector<double> &z, double r2)
+{
+    std::vector<double> dir(z.size());
+    double norm = 0.0;
+    for (auto &v : dir) {
+        v = rng.gaussian();
+        norm += v * v;
+    }
+    std::vector<double> p(z.size());
+    for (std::size_t a = 0; a < z.size(); ++a) {
+        const double l = params.ardLengthscales.empty()
+                             ? params.lengthscale
+                             : params.ardLengthscales[a];
+        p[a] = z[a] + l * std::sqrt(r2 / norm) * dir[a];
+    }
+    return p;
+}
+
+std::vector<KernelParams>
+screenKernels(double lengthscale)
+{
+    std::vector<KernelParams> out;
+    for (const KernelKind kind :
+         {KernelKind::SquaredExponential, KernelKind::Matern52}) {
+        for (const bool ard : {false, true}) {
+            KernelParams params;
+            params.kind = kind;
+            params.lengthscale = lengthscale;
+            params.variance = 1.7;
+            if (ard)
+                params.ardLengthscales = {lengthscale, 0.5 * lengthscale,
+                                          2.0 * lengthscale,
+                                          0.8 * lengthscale,
+                                          3.0 * lengthscale};
+            out.push_back(params);
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Screen, KernelErrorWithinBoundOnEveryLane)
+{
+    // With one training point and α = 1 the screen's mean is its
+    // approximate kernel k̃ itself. Check it against kernelValue() on
+    // every lane instance, from r² = 0 into the range where each
+    // kernel's exp underflows (the screen cuts SE at r² > 1416 and
+    // Matérn at r² > 1.0e5), and check that every instance gives the
+    // same bits.
+    Rng rng(71);
+    const auto paths = supportedLanePaths();
+    for (const double lengthscale : {1e-3, 0.4, 100.0}) {
+        for (const KernelParams &params : screenKernels(lengthscale)) {
+            SCOPED_TRACE(::testing::Message()
+                         << "kind " << static_cast<int>(params.kind)
+                         << " ard " << !params.ardLengthscales.empty()
+                         << " lengthscale " << lengthscale);
+            const std::vector<double> z = randomPoint(rng, 5);
+            std::vector<std::vector<double>> pool = {z};
+            for (int j = 1; j < 1000; ++j) {
+                const double r2 = std::pow(10.0, -12.0 + 17.5 * rng.uniform());
+                pool.push_back(pointAtSquaredDistance(rng, params, z, r2));
+            }
+            const std::vector<double> alpha = {1.0};
+            const detail::MeanScreen first = detail::screenMeans(
+                *paths.front(), params, pool, {z}, alpha);
+            std::size_t underflowed = 0;
+            for (const LanePath *path : paths) {
+                SCOPED_TRACE(path->name);
+                const detail::MeanScreen got =
+                    detail::screenMeans(*path, params, pool, {z}, alpha);
+                ASSERT_EQ(got.mean.size(), pool.size());
+                EXPECT_EQ(got.mean[0], params.variance);
+                for (std::size_t j = 0; j < pool.size(); ++j) {
+                    const double want = kernelValue(params, pool[j], z);
+                    const double approx = got.mean[j];
+                    EXPECT_LE(std::abs(approx - want),
+                              detail::kScreenKernelRelError *
+                                      std::abs(approx) +
+                                  params.variance * 1e-302 + 1e-322)
+                        << "point " << j << ": " << approx << " vs "
+                        << want;
+                    EXPECT_TRUE(sameBits(approx, first.mean[j]));
+                    EXPECT_TRUE(sameBits(got.slack[j], first.slack[j]));
+                    if (approx == 0.0)
+                        ++underflowed;
+                }
+            }
+            EXPECT_GT(underflowed, 0u);
+        }
+    }
+}
+
+TEST(Screen, MeanIntervalContainsExactMean)
+{
+    // μ̃ ± δ must contain the exact standardized mean's bits, the sum
+    // Σ_i k(x_j, x_i) α_i in training order that meanSums() forms,
+    // on every lane instance, for fitted GPs (large |α| at small
+    // noise) and hand-made α spanning many magnitudes and signs.
+    Rng rng(73);
+    const auto paths = supportedLanePaths();
+    for (const double lengthscale : {1e-3, 0.4, 100.0}) {
+        for (const KernelParams &base : screenKernels(lengthscale)) {
+            for (const std::size_t n : {1u, 17u, 256u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "kind " << static_cast<int>(base.kind)
+                             << " ard " << !base.ardLengthscales.empty()
+                             << " lengthscale " << lengthscale << " n "
+                             << n);
+                std::vector<std::vector<double>> x;
+                std::vector<double> y;
+                for (std::size_t i = 0; i < n; ++i) {
+                    x.push_back(randomPoint(rng, 5));
+                    y.push_back(smoothTarget(x.back(), rng));
+                }
+                KernelParams params = base;
+                params.noise = 1e-6;
+                GaussianProcess gp(params);
+                gp.fit(x, y);
+                ASSERT_TRUE(gp.trained());
+                std::vector<double> wild(n);
+                for (auto &a : wild)
+                    a = (rng.uniform() < 0.5 ? -1.0 : 1.0) *
+                        std::pow(10.0, -8.0 + 16.0 * rng.uniform());
+                std::vector<std::vector<double>> pool;
+                for (int j = 0; j < 120; ++j)
+                    pool.push_back(j % 9 == 4 ? x[static_cast<std::size_t>(
+                                                    j) % n]
+                                              : randomPoint(rng, 5));
+                for (const std::vector<double> *alpha :
+                     {&gp.alpha(), static_cast<const std::vector<double> *>(&wild)}) {
+                    for (const LanePath *path : paths) {
+                        SCOPED_TRACE(path->name);
+                        const detail::MeanScreen got = detail::screenMeans(
+                            *path, params, pool, x, *alpha);
+                        for (std::size_t j = 0; j < pool.size(); ++j) {
+                            double exact = 0.0;
+                            for (std::size_t i = 0; i < n; ++i)
+                                exact += kernelValue(params, pool[j], x[i]) *
+                                         (*alpha)[i];
+                            EXPECT_LE(got.mean[j] - got.slack[j], exact)
+                                << "point " << j;
+                            EXPECT_GE(got.mean[j] + got.slack[j], exact)
+                                << "point " << j;
+                            EXPECT_TRUE(std::isfinite(got.slack[j]));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Outside the bound's range the screen knows nothing.
+    const std::vector<double> wide(detail::kScreenMaxDims + 1, 0.5);
+    const detail::MeanScreen got = detail::screenMeans(
+        *paths.front(), KernelParams{}, {wide}, {wide}, {1.0});
+    EXPECT_EQ(got.slack[0], std::numeric_limits<double>::infinity());
+}
+
 TEST(Acquisition, EiBoundDominatesFloatEi)
 {
-    // Floating-point EI is not exactly monotone in sigma, so the bound
-    // carries a margin; it must dominate EI at every smaller sigma,
-    // including sigmas within a few ulps of the bound's, over twelve
+    // Floating-point EI is not exactly monotone in sigma or in the
+    // mean, so the bound carries a margin; it must dominate EI at
+    // every smaller sigma and every larger mean (the screened
+    // acquisition bounds at the low end of a mean interval), including
+    // sigmas and means within a few ulps of the bound's, over twelve
     // decades of scale.
     Rng rng(59);
     std::size_t bare_violations = 0;
@@ -777,6 +1089,20 @@ TEST(Acquisition, EiBoundDominatesFloatEi)
         }
         Prediction pred = ub;
         pred.variance = std::min(sigma * sigma, ub.variance);
+        switch ((draw / 4) % 4) {
+          case 1:
+            for (int step = 1 + draw % 8; step > 0; --step)
+                pred.mean = std::nextafter(pred.mean, HUGE_VAL);
+            break;
+          case 2:
+            pred.mean += sigma_ub * 1e-6 * rng.uniform();
+            break;
+          case 3:
+            pred.mean += sigma_ub * 10.0 * rng.uniform();
+            break;
+          default:
+            break;
+        }
         const double ei = expectedImprovement(pred, best);
         ASSERT_LE(ei, bound) << "z " << z << " sigma " << sigma
                              << " sigma_ub " << sigma_ub << " best "

@@ -169,23 +169,23 @@ TEST(Mobo, ArdSamplerProposesValidPoints)
 
 TEST(Mobo, GpFitFailureDegradesToSpaceFilling)
 {
-    // NaN objectives poison the GP targets: the fit produces a
-    // non-finite posterior, and proposeOne must fall back to random
-    // (space-filling) proposals instead of aborting — counted in
-    // gpFallbacks() for the driver's fault stats.
+    // Finite objectives whose range overflows a double (nadir − ideal
+    // = ∞) normalize to ∞/∞ = NaN and poison the ParEGO targets: the
+    // fit produces a non-finite posterior, and proposeOne must fall
+    // back to random (space-filling) proposals instead of aborting —
+    // counted in gpFallbacks() for the driver's fault stats.
     const auto ds = makeSpace();
     MoboHwSampler sampler(ds, 3, 5);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double huge = 1e308;
     const auto seedBatch = sampler.sampleBatch(8);
-    // Finite observations establish finite ideal/nadir bounds; the
-    // NaN observations then survive normalization (span > 0) and
-    // poison the ParEGO scalarization targets.
     for (std::size_t i = 0; i < seedBatch.size(); ++i) {
         if (i < 4)
             sampler.observe(seedBatch[i], syntheticY(ds, seedBatch[i]),
                             true);
         else
-            sampler.observe(seedBatch[i], {nan, nan, nan}, true);
+            sampler.observe(seedBatch[i],
+                            moo::Objectives(3, i == 4 ? -huge : huge),
+                            true);
     }
 
     EXPECT_EQ(sampler.gpFallbacks(), 0u);
@@ -197,48 +197,66 @@ TEST(Mobo, GpFitFailureDegradesToSpaceFilling)
     // targets. Fallbacks land in faults.csv and checkpoints, so the
     // exact count is part of the sampler's contract.
     EXPECT_EQ(sampler.gpFallbacks(), 8u);
+    // The failed search must not mark the kernel tuned: that would
+    // freeze the default kernel for the rest of the run (and in
+    // checkpoints) once the poisoned rows leave the window.
+    EXPECT_FALSE(sampler.saveState().at("kernelTuned").asBool());
+
+    // Once they leave the high-fidelity set, the next batch searches
+    // again, tunes the kernel and proposes without falling back.
+    for (std::size_t i = 4; i < seedBatch.size(); ++i)
+        sampler.setHighFidelity(i, false);
+    sampler.sampleBatch(8);
+    EXPECT_EQ(sampler.gpFallbacks(), 8u);
+    EXPECT_TRUE(sampler.saveState().at("kernelTuned").asBool());
 }
 
-TEST(Mobo, NanObjectiveDegradesToSpaceFilling)
+TEST(Mobo, NanObjectiveRowsStayOutOfTraining)
 {
-    // One NaN objective among finite high-fidelity observations turns
-    // every ParEGO target set non-finite, so every hyperparameter fit
-    // has a NaN LML. With randomFraction 0 each slot is model-guided
-    // and must fall back to a random in-space point, once per slot,
-    // deterministically. The failed search must not mark the kernel
-    // tuned: that would freeze the default kernel for the rest of the
-    // run (and in checkpoints) once the NaN leaves the window.
+    // A NaN objective would make every ParEGO target of the window
+    // NaN. Such a row stays out of the training set and the
+    // ideal/nadir bounds, so the surrogate keeps guiding every slot:
+    // no fallback, the kernel is tuned once, and the sampler proposes
+    // exactly what a twin proposes that saw the same row as low
+    // fidelity (which never trains the surrogate either).
     const auto ds = makeSpace();
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    const auto prepare = [&](MoboHwSampler &sampler) {
+    const auto prepare = [&](MoboHwSampler &sampler, bool nan_hf) {
         common::Rng rng(61);
         for (int i = 0; i < 24; ++i) {
             const auto h = ds.randomPoint(rng);
             sampler.observe(h, syntheticY(ds, h), true);
         }
         const auto h = ds.randomPoint(rng);
-        sampler.observe(h, {nan, 1.0, 1.0}, true);
+        sampler.observe(h, {nan, 1.0, 1.0}, nan_hf);
     };
     MoboHwSampler sampler(ds, 3, 61);
     MoboHwSampler twin(ds, 3, 61);
-    prepare(sampler);
-    prepare(twin);
+    prepare(sampler, true);
+    prepare(twin, false);
 
     const auto batch = sampler.sampleBatch(8);
     ASSERT_EQ(batch.size(), 8u);
     for (const auto &h : batch)
         EXPECT_TRUE(ds.contains(h));
-    EXPECT_EQ(sampler.gpFallbacks(), 8u);
-    EXPECT_FALSE(sampler.saveState().at("kernelTuned").asBool());
-    EXPECT_EQ(twin.sampleBatch(8), batch);
-    EXPECT_EQ(twin.gpFallbacks(), 8u);
-
-    // Once the NaN observation leaves the high-fidelity set, the next
-    // batch tunes the kernel and proposes without falling back.
-    sampler.setHighFidelity(sampler.observations() - 1, false);
-    sampler.sampleBatch(8);
-    EXPECT_EQ(sampler.gpFallbacks(), 8u);
+    EXPECT_EQ(sampler.gpFallbacks(), 0u);
     EXPECT_TRUE(sampler.saveState().at("kernelTuned").asBool());
+    EXPECT_EQ(twin.sampleBatch(8), batch);
+    EXPECT_EQ(twin.gpFallbacks(), 0u);
+
+    // A NaN first observation does not pin the ideal/nadir bounds to
+    // NaN for the rest of the run.
+    MoboHwSampler first(ds, 3, 62);
+    common::Rng rng(62);
+    first.observe(ds.randomPoint(rng), {nan, nan, nan}, true);
+    for (int i = 0; i < 24; ++i) {
+        const auto h = ds.randomPoint(rng);
+        first.observe(h, syntheticY(ds, h), true);
+    }
+    for (double v : first.normalize(syntheticY(ds, ds.randomPoint(rng))))
+        EXPECT_TRUE(std::isfinite(v));
+    first.sampleBatch(8);
+    EXPECT_EQ(first.gpFallbacks(), 0u);
 }
 
 TEST(Mobo, HealthyFitDoesNotCountFallbacks)
