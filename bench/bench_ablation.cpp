@@ -50,7 +50,7 @@ main(int argc, char **argv)
         std::vector<core::CoSearchResult> results;
         for (int s = 0; s < seeds; ++s) {
             BenchOptions so = opt;
-            so.seed = opt.seed + static_cast<std::uint64_t>(s) * 7919;
+            so.run.seed = opt.run.seed + static_cast<std::uint64_t>(s) * 7919;
             auto cfg = benchDriverConfig(core::DriverConfig::unico(), so);
             mutate_cfg(cfg);
             core::CoOptimizer driver(*env, cfg);

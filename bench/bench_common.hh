@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "baselines/nsga2.hh"
-#include "common/cli.hh"
+#include "cli/run_spec_args.hh"
 #include "common/table.hh"
-#include "core/backend.hh"
 #include "core/driver.hh"
+#include "core/run_spec.hh"
 #include "moo/hypervolume.hh"
 #include "moo/scalarize.hh"
 #include "workload/model_zoo.hh"
@@ -32,39 +32,24 @@ namespace unico::bench {
 /** Common bench options parsed from the command line. */
 struct BenchOptions
 {
-    std::uint64_t seed = 1;
+    /** The run fields a bench takes from its command line: seed
+     *  (--seed), backend (--backend) and surrogate keep (--surrogate /
+     *  --surrogate-keep / --no-surrogate, as in co_search_cli). */
+    core::RunSpec run;
     double scale = 1.0;      ///< shrinks batch sizes / budgets
     std::string outCsv;      ///< optional CSV dump path
-    /** Evaluation stack the bench runs against (--backend). */
-    std::string backend = "spatial";
-    /** Surrogate screening (--surrogate / --surrogate-keep /
-     *  --no-surrogate), mirroring the CLI flag semantics. */
-    bool surrogate = false;
-    double surrogateKeep = 0.25;
 
     static BenchOptions
     parse(const common::CliArgs &args)
     {
         BenchOptions opt;
-        opt.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-        opt.scale = args.getDouble("scale", 1.0);
+        opt.run.seed = static_cast<std::uint64_t>(args.getInt(
+            "seed", static_cast<std::int64_t>(opt.run.seed)));
+        opt.run.backend = args.getString("backend", opt.run.backend);
+        opt.run.surrogateKeep = cli::surrogateKeepFromArgs(args);
+        opt.scale = args.getDouble("scale", opt.scale);
         opt.outCsv = args.getString("out", "");
-        opt.backend = args.getString("backend", "spatial");
-        opt.surrogate =
-            (args.has("surrogate") || args.has("surrogate-keep")) &&
-            !args.has("no-surrogate");
-        opt.surrogateKeep =
-            args.getDouble("surrogate-keep", opt.surrogateKeep);
         return opt;
-    }
-
-    /** Configure a caller-owned surrogate context from the flags
-     *  (the context is non-copyable: it holds the atomic sink). */
-    void
-    applySurrogate(surrogate::SurrogateContext &ctx) const
-    {
-        ctx.options.enabled = surrogate;
-        ctx.options.keep = surrogateKeep;
     }
 
     /** Scale an integer parameter, keeping a floor. */
@@ -93,7 +78,7 @@ benchDriverConfig(core::DriverConfig cfg, const BenchOptions &opt)
     cfg.sh.bMax = opt.scaled(240, 32);
     cfg.minBudgetPerRound = 8;
     cfg.workers = 8;
-    cfg.seed = opt.seed;
+    cfg.seed = opt.run.seed;
     return cfg;
 }
 
@@ -106,44 +91,34 @@ benchNsga2Config(const BenchOptions &opt)
     cfg.generations = opt.scaled(7, 2);
     cfg.swBudget = opt.scaled(240, 32);
     cfg.workers = 8;
-    cfg.seed = opt.seed;
+    cfg.seed = opt.run.seed;
     return cfg;
 }
 
 /**
- * Build an environment for zoo networks through the backend
- * registry. The scenario applies to scenario-aware backends
+ * Build an environment for zoo networks under the bench's --backend
+ * from a RunSpec, through the same helpers co_search_cli and the job
+ * manager use. The scenario applies to scenario-aware backends
  * (spatial); area-capped backends (ascend) use their default
  * envelope.
  */
 inline std::unique_ptr<core::CoSearchEnv>
-makeBenchEnv(const std::string &backend,
-             const std::vector<std::string> &nets,
-             accel::Scenario scenario, std::size_t max_shapes = 5,
+makeBenchEnv(const BenchOptions &opt, const std::vector<std::string> &nets,
+             accel::Scenario scenario,
+             std::size_t max_shapes =
+                 core::BackendOptions{}.maxShapesPerNetwork,
              accel::EvalCache *cache = nullptr,
              surrogate::SurrogateContext *surrogate = nullptr)
 {
-    std::vector<workload::Network> networks;
-    networks.reserve(nets.size());
-    for (const auto &name : nets)
-        networks.push_back(workload::makeNetwork(name));
-    core::BackendOptions env_opt;
+    core::RunSpec spec = opt.run;
+    spec.models = nets;
+    spec.maxShapes = static_cast<std::int64_t>(max_shapes);
+    core::BackendOptions env_opt = core::backendOptions(spec);
     env_opt.scenario = scenario;
-    env_opt.maxShapesPerNetwork = max_shapes;
     env_opt.cache = cache;
     env_opt.surrogate = surrogate;
-    return core::makeBackendEnv(backend, std::move(networks), env_opt);
-}
-
-/** makeBenchEnv() under the bench's --backend selection. */
-inline std::unique_ptr<core::CoSearchEnv>
-makeBenchEnv(const BenchOptions &opt, const std::vector<std::string> &nets,
-             accel::Scenario scenario, std::size_t max_shapes = 5,
-             accel::EvalCache *cache = nullptr,
-             surrogate::SurrogateContext *surrogate = nullptr)
-{
-    return makeBenchEnv(opt.backend, nets, scenario, max_shapes, cache,
-                        surrogate);
+    return core::makeBackendEnv(spec.backend, core::buildNetworks(spec),
+                                env_opt);
 }
 
 /**

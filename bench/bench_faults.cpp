@@ -71,7 +71,7 @@ main(int argc, char **argv)
         spec.transientRate = sw.transient;
         spec.hangRate = sw.hang;
         spec.corruptRate = sw.corrupt;
-        spec.seed = opt.seed + 1000;
+        spec.seed = opt.run.seed + 1000;
         core::FaultyEnv faulty(*env, common::FaultPlan(spec));
         core::CoSearchEnv &run_env =
             spec.active() ? static_cast<core::CoSearchEnv &>(faulty)

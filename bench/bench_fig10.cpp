@@ -42,7 +42,7 @@ main(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(args);
 
     std::cout << "Fig. 10: ablation of MSH and the high-fidelity "
-                 "update, scale=" << opt.scale << ", seed=" << opt.seed
+                 "update, scale=" << opt.scale << ", seed=" << opt.run.seed
               << "\n\n";
 
     const auto env = makeBenchEnv(

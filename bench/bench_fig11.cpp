@@ -20,9 +20,13 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
     const BenchOptions opt = BenchOptions::parse(args);
+    // Fig. 11 is the Ascend deployment experiment: pin the ascend
+    // backend rather than following --backend.
+    BenchOptions ascend = opt;
+    ascend.run.backend = "ascend";
 
     std::cout << "Fig. 11: UNICO vs expert default on the Ascend-like "
-                 "platform, scale=" << opt.scale << ", seed=" << opt.seed
+                 "platform, scale=" << opt.scale << ", seed=" << opt.run.seed
               << "\n(PPA engine: cycle-level simulator; every query "
                  "charges 2-10 virtual minutes)\n\n";
 
@@ -36,10 +40,8 @@ main(int argc, char **argv)
     double lat_save_acc = 0.0, pow_save_acc = 0.0;
     int count = 0;
     for (const auto &net : nets) {
-        // Fig. 11 is the Ascend deployment experiment: pin the
-        // registry backend rather than following --backend.
         const auto env =
-            makeBenchEnv("ascend", {net}, accel::Scenario::Edge, 3);
+            makeBenchEnv(ascend, {net}, accel::Scenario::Edge, 3);
 
         // Paper settings N=8, MaxIter=30, b_max=200; scaled here.
         core::DriverConfig cfg = core::DriverConfig::unico();
@@ -48,14 +50,14 @@ main(int argc, char **argv)
         cfg.sh.bMax = opt.scaled(64, 16);
         cfg.minBudgetPerRound = 6;
         cfg.workers = 8;
-        cfg.seed = opt.seed;
+        cfg.seed = opt.run.seed;
         core::CoOptimizer driver(*env, cfg);
         const auto result = driver.run();
 
         const int default_budget = cfg.sh.bMax;
         const accel::HwPoint expert_hw = env->expertDefault().value();
         const accel::Ppa def =
-            env->evaluateConfig(expert_hw, default_budget, opt.seed + 3);
+            env->evaluateConfig(expert_hw, default_budget, opt.run.seed + 3);
 
         table.addRow({net, "default", env->describeHw(expert_hw),
                       common::TableWriter::num(def.latencyMs),

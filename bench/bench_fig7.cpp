@@ -47,7 +47,7 @@ runDevice(accel::Scenario scenario, const BenchOptions &opt,
     for (const auto &net : nets) {
       for (int s = 0; s < seeds; ++s) {
         BenchOptions seed_opt = opt;
-        seed_opt.seed = opt.seed + static_cast<std::uint64_t>(s) * 1000;
+        seed_opt.run.seed += static_cast<std::uint64_t>(s) * 1000;
         const auto env = makeBenchEnv(seed_opt, {net}, scenario);
 
         std::vector<core::CoSearchResult> results;
@@ -148,7 +148,7 @@ main(int argc, char **argv)
 
     const int seeds = static_cast<int>(args.getInt("seeds", 3));
     std::cout << "Fig. 7: search-convergence comparison, scale="
-              << opt.scale << ", seed=" << opt.seed
+              << opt.scale << ", seed=" << opt.run.seed
               << ", seeds averaged=" << seeds << "\n";
     runDevice(accel::Scenario::Edge, opt, nets, "a", seeds);
     runDevice(accel::Scenario::Cloud, opt, nets, "b", seeds);

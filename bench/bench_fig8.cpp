@@ -36,7 +36,7 @@ main(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(args);
 
     std::cout << "Fig. 8: reliability of the robustness metric R, "
-              << "scale=" << opt.scale << ", seed=" << opt.seed << "\n\n";
+              << "scale=" << opt.scale << ", seed=" << opt.run.seed << "\n\n";
 
     // (1) Co-optimize on the training set WITHOUT R as an objective.
     const auto train_env = makeBenchEnv(
@@ -167,11 +167,11 @@ main(int argc, char **argv)
             for (int s = 0; s < val_seeds; ++s) {
                 auto run_r = val_env->createRun(
                     result.records[robust.record].hw,
-                    opt.seed + 101 + s * 37);
+                    opt.run.seed + 101 + s * 37);
                 run_r->step(budget);
                 auto run_f = val_env->createRun(
                     result.records[fragile.record].hw,
-                    opt.seed + 101 + s * 37);
+                    opt.run.seed + 101 + s * 37);
                 run_f->step(budget);
                 lat_r += run_r->bestPpa().feasible
                              ? run_r->bestPpa().latencyMs

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(args);
 
     std::cout << "Fig. 9: UNICO vs HASCO generalization to unseen DNNs, "
-              << "scale=" << opt.scale << ", seed=" << opt.seed << "\n\n";
+              << "scale=" << opt.scale << ", seed=" << opt.run.seed << "\n\n";
 
     const std::vector<std::string> training = {"mobilenet_v2", "resnet",
                                                "srgan", "vgg"};
@@ -44,7 +44,7 @@ main(int argc, char **argv)
     // the fixed-hardware validation runs below stay exact so the
     // generalization comparison itself is never approximated.
     surrogate::SurrogateContext surrogate_ctx;
-    opt.applySurrogate(surrogate_ctx);
+    surrogate_ctx.options = core::surrogateOptions(opt.run);
     if (surrogate_ctx.options.enabled)
         std::cout << "surrogate screening: keep="
                   << surrogate_ctx.options.keep << "\n\n";
@@ -123,10 +123,10 @@ main(int argc, char **argv)
         ppa_u.feasible = ppa_h.feasible = true;
         for (int s = 0; s < val_seeds; ++s) {
             auto run_u =
-                val_env->createRun(unico_hw, opt.seed + 17 + s * 53);
+                val_env->createRun(unico_hw, opt.run.seed + 17 + s * 53);
             run_u->step(budget);
             auto run_h =
-                val_env->createRun(hasco_hw, opt.seed + 17 + s * 53);
+                val_env->createRun(hasco_hw, opt.run.seed + 17 + s * 53);
             run_h->step(budget);
             const accel::Ppa pu = run_u->bestPpa();
             const accel::Ppa ph = run_h->bestPpa();

@@ -51,22 +51,9 @@ msSince(Clock::time_point t0)
         .count();
 }
 
-core::JobSpec
-benchSpec(std::uint64_t seed, int iters, int batch, int bmax)
-{
-    core::JobSpec spec;
-    spec.models = {"resnet"};
-    spec.algo = "unico";
-    spec.iters = iters;
-    spec.batch = batch;
-    spec.bmax = bmax;
-    spec.seed = seed;
-    return spec;
-}
-
 /** Run @p jobs specs to completion under one manager; wall ms. */
 double
-runBatch(const std::vector<core::JobSpec> &jobs,
+runBatch(const std::vector<core::RunSpec> &jobs,
          std::size_t concurrent, accel::EvalCache *cache)
 {
     core::JobManagerConfig cfg;
@@ -98,11 +85,18 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
     const int jobs = static_cast<int>(args.getInt("jobs", 6));
-    const int iters = static_cast<int>(args.getInt("iters", 4));
-    const int batch = static_cast<int>(args.getInt("batch", 8));
-    const int bmax = static_cast<int>(args.getInt("bmax", 120));
-    const auto seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    // Every job: resnet, unico, the given N / MaxIter / b_max.
+    core::RunSpec base;
+    base.models = {"resnet"};
+    base.iters = static_cast<int>(args.getInt("iters", 4));
+    base.batch = static_cast<int>(args.getInt("batch", 8));
+    base.bmax = static_cast<int>(args.getInt("bmax", 120));
+    auto benchSpec = [&base](std::uint64_t job_seed) {
+        core::RunSpec spec = base;
+        spec.seed = job_seed;
+        return spec;
+    };
 
     auto bench_json = common::Json::array();
 
@@ -115,8 +109,7 @@ main(int argc, char **argv)
             cfg.shutdownFanout = false;
             core::JobManager mgr(cfg);
             const Clock::time_point t0 = Clock::now();
-            const auto sub =
-                mgr.submit(benchSpec(seed + i, iters, batch, bmax));
+            const auto sub = mgr.submit(benchSpec(seed + i));
             // Blocks until the Started event lands in the log — the
             // moment a streaming client would receive its first line.
             mgr.eventsSince(sub.id, 0);
@@ -144,10 +137,9 @@ main(int argc, char **argv)
         common::TableWriter table(
             {"concurrent", "wall(ms)", "jobs/min"});
         for (const std::size_t concurrent : {1u, 2u, 4u}) {
-            std::vector<core::JobSpec> specs;
+            std::vector<core::RunSpec> specs;
             for (int i = 0; i < jobs; ++i)
-                specs.push_back(
-                    benchSpec(seed + i, iters, batch, bmax));
+                specs.push_back(benchSpec(seed + i));
             accel::EvalCache cache(64 * 1024 * 1024);
             const double ms = runBatch(specs, concurrent, &cache);
             const double per_minute =
@@ -174,9 +166,9 @@ main(int argc, char **argv)
         // a private one; the delta in hit rate is what multi-tenancy
         // buys (identical seeds maximize overlap — the server's
         // steady state when clients re-run reference configs).
-        std::vector<core::JobSpec> specs;
+        std::vector<core::RunSpec> specs;
         for (int i = 0; i < jobs; ++i)
-            specs.push_back(benchSpec(seed, iters, batch, bmax));
+            specs.push_back(benchSpec(seed));
 
         accel::EvalCache shared(64 * 1024 * 1024);
         runBatch(specs, 2, &shared);
@@ -219,9 +211,9 @@ main(int argc, char **argv)
         auto ctx = common::Json::object();
         ctx["executable"] = "bench_serve";
         ctx["jobs"] = jobs;
-        ctx["iters"] = iters;
-        ctx["batch"] = batch;
-        ctx["bmax"] = bmax;
+        ctx["iters"] = base.iters;
+        ctx["batch"] = base.batch;
+        ctx["bmax"] = base.bmax;
         ctx["seed"] = static_cast<std::int64_t>(seed);
         doc["context"] = std::move(ctx);
         doc["benchmarks"] = std::move(bench_json);

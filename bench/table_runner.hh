@@ -30,7 +30,7 @@ runScenarioTable(int argc, char **argv, accel::Scenario scenario,
     std::cout << title << "\n"
               << "power budget: "
               << accel::powerBudgetMw(scenario) / 1000.0
-              << " W, scale=" << opt.scale << ", seed=" << opt.seed
+              << " W, scale=" << opt.scale << ", seed=" << opt.run.seed
               << ", seeds averaged=" << seeds << "\n\n";
 
     common::TableWriter table({"network", "method", "L(ms)", "P(mW)",
@@ -52,7 +52,7 @@ runScenarioTable(int argc, char **argv, accel::Scenario scenario,
 
         for (int s = 0; s < seeds; ++s) {
             BenchOptions so = opt;
-            so.seed = opt.seed + static_cast<std::uint64_t>(s) * 7919;
+            so.run.seed = opt.run.seed + static_cast<std::uint64_t>(s) * 7919;
 
             std::vector<core::CoSearchResult> results;
             {

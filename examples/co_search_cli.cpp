@@ -4,71 +4,41 @@
  * on zoo networks or user-supplied workload files and export the
  * results as CSV — the "tool" face of the library.
  *
- * Usage:
- *   co_search_cli --model resnet [--model vit ...] \
- *                 [--workload my_net.txt ...] \
- *                 [--backend spatial|ascend] \
- *                 [--scenario edge|cloud] [--engine ENGINE] \
- *                 [--area-budget MM2] \
- *                 [--algo unico|hasco|mobohb|nsga2|sh|msh] \
- *                 [--batch N] [--iters I] [--bmax B] [--seed S] \
- *                 [--threads T] [--batch-evals N] \
- *                 [--csv-prefix out/prefix] [--progress-every N] \
- *                 [--cache-mb MB] [--no-cache] \
- *                 [--surrogate] [--surrogate-keep F] [--no-surrogate] \
- *                 [--fault-rate F] [--hang-rate F] [--corrupt-rate F] \
- *                 [--fault-seed S] [--checkpoint FILE] [--resume] \
- *                 [--checkpoint-every N] [--checkpoint-keep K] \
- *                 [--wall-deadline SEC] [--eval-wall-deadline SEC]
+ *   co_search_cli --model resnet [--model vit ...] [--workload net.txt]
+ *                 [--backend spatial|ascend] [--algo unico|...|nsga2]
+ *                 [--batch N] [--iters I] [--bmax B] [--seed S] ...
  *
- * Parallelism: Sec. 3.5's master/worker execution runs in-process.
- * --threads T dispatches each successive-halving round's per-HW
- * mapping searches across T threads, and --batch-evals N (below)
- * fans cold evaluations out inside each search. Records, front,
- * trace CSVs and checkpoints are byte-identical for any T and N.
- * The flags of the removed process/TCP evaluation fleet (--workers,
- * --worker-*, --fleet-*) are rejected with a usage error.
+ * usage() below lists every flag. The flags describe one
+ * core::RunSpec — the spec co_search_server takes as a JSON job
+ * document, checked by the same validate() — plus the process flags
+ * --batch-evals, --cache-mb / --no-cache, --progress-every,
+ * --wall-deadline and --eval-wall-deadline. Repeated --model /
+ * --workload add up; networks are built models first, then workload
+ * files. An unknown flag, a malformed number or a spec validate()
+ * rejects is a usage error: exit 2, nothing runs.
+ *
+ * Parallelism (Sec. 3.5, in-process): --threads T runs each
+ * successive-halving round's per-HW mapping searches on T threads;
+ * --batch-evals N fans each search's evaluation-independent candidate
+ * blocks across a separate N-thread pool. Records, front, trace CSVs
+ * and checkpoints are byte-identical for any T and N, with or without
+ * the evaluation cache (--cache-mb, default 64 MB; --no-cache).
  *
  * Fault tolerance: the --*-rate flags wrap the environment in a
- * deterministic fault injector (per-evaluation crash/hang/corrupt
- * probabilities) to exercise the driver's supervisor; --checkpoint
- * saves resumable state at trial boundaries (every N trials with
- * --checkpoint-every, keeping a K-deep rotation window with
- * --checkpoint-keep) and --resume continues a killed search from the
- * newest valid generation, bit-for-bit.
+ * deterministic fault injector that exercises the driver's
+ * supervisor; --checkpoint saves resumable state at trial boundaries
+ * (--checkpoint-every, --checkpoint-keep rotation) and --resume
+ * continues a killed search from the newest valid generation,
+ * bit-for-bit. SIGINT/SIGTERM drain, checkpoint and exit 75
+ * (EX_TEMPFAIL: resumable); a second signal kills. --wall-deadline
+ * bounds the run and --eval-wall-deadline each evaluation attempt.
  *
- * Interruption: SIGINT/SIGTERM wind the search down gracefully —
- * in-flight evaluations drain, a final checkpoint is written, and the
- * process exits with code 75 (EX_TEMPFAIL: resumable). A second
- * signal kills immediately. --wall-deadline bounds the whole run and
- * --eval-wall-deadline each evaluation attempt in real seconds.
- *
- * Batched evaluation: --batch-evals N fans the mapping engines'
- * evaluation-independent candidate blocks (random sampling, annealing
- * exploration, genetic seeding) across N threads on a pool separate
- * from --threads' round-dispatch pool. The deterministic batch
- * contract keeps every record, front, trace CSV and checkpoint
- * byte-identical to the serial run; only wall-clock changes.
- *
- * Evaluation cache: PPA queries are memoized in a sharded LRU cache
- * (--cache-mb sets the byte budget, default 64 MB; --no-cache
- * disables it). Results, checkpoints and the records/front/trace
- * CSVs are bit-identical either way — only wall-clock changes.
- *
- * Progress: --progress-every N prints one JSON object per line on
- * stdout — the stepped driver's typed progress events (started /
- * trial / incumbent / front / checkpoint / finished), with trial
- * events thinned to every Nth. The identical event stream is what
- * co_search_server serves over HTTP, so scripts can watch either.
- *
- * Surrogate screening: --surrogate (tune with --surrogate-keep F,
- * default 0.25) trains an online ridge-regression cost model on the
- * exact evaluations each run pays for and answers the predicted-worst
- * candidates from the model, reserving exact evaluation for the keep
- * fraction. Off by default; --no-surrogate forces the legacy path,
- * whose outputs are byte-identical to builds without the feature.
- * Screened-out candidates are fidelity-tagged and never become
- * incumbents, Pareto entries, checkpoint state or CSV rows.
+ * --progress-every N prints the driver's typed progress events as
+ * NDJSON, the stream co_search_server serves over HTTP. --surrogate
+ * (--surrogate-keep F) screens predicted-worst candidates with an
+ * online cost model; screened-out candidates never reach results,
+ * checkpoints or CSVs, and --no-surrogate is byte-identical to builds
+ * without the feature.
  */
 
 #include <chrono>
@@ -76,19 +46,16 @@
 #include <iostream>
 
 #include "baselines/nsga2.hh"
-#include "common/cli.hh"
+#include "cli/run_spec_args.hh"
 #include "common/fault.hh"
 #include "common/shard_cache.hh"
 #include "common/shutdown.hh"
 #include "common/thread_pool.hh"
 #include "common/table.hh"
-#include "core/backend.hh"
-#include "core/driver.hh"
 #include "core/fault_env.hh"
 #include "core/report.hh"
-#include "surrogate/learned_model.hh"
+#include "core/run_spec.hh"
 #include "workload/model_zoo.hh"
-#include "workload/parser.hh"
 
 using namespace unico;
 
@@ -132,63 +99,34 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
 
-    // The process/TCP evaluation fleet was removed; its flags must
-    // fail loudly, not be ignored (a stale --fleet-connect would
-    // otherwise start a full search of its own).
-    for (const std::string &name : args.optionNames()) {
-        if (name == "workers" || name.rfind("worker-", 0) == 0 ||
-            name.rfind("fleet-", 0) == 0) {
-            std::cerr << "error: --" << name
-                      << " was removed with the evaluation fleet; "
-                         "use --threads T (parallel SH rounds) and "
-                         "--batch-evals N (parallel cold evaluations)\n";
-            return usage(args.program().c_str());
-        }
-    }
-
-    // Workload list: every positional arg and every --model /
-    // --workload option value.
+    // The run itself is a RunSpec, read and validated exactly as the
+    // job server reads a job document; the flags below it only shape
+    // this process (pools, cache, progress, wall deadlines).
+    core::RunSpec spec;
+    std::int64_t batch_evals = 0, cache_mb = 0, progress_every = 0;
+    double wall_deadline = 0.0, eval_wall_deadline = 0.0;
     std::vector<workload::Network> nets;
     try {
-        if (args.has("model"))
-            nets.push_back(
-                workload::makeNetwork(args.getString("model", "")));
-        if (args.has("workload"))
-            nets.push_back(workload::parseNetworkFile(
-                args.getString("workload", "")));
-        for (const auto &pos : args.positional()) {
-            if (pos.find('.') != std::string::npos)
-                nets.push_back(workload::parseNetworkFile(pos));
-            else
-                nets.push_back(workload::makeNetwork(pos));
-        }
+        spec = cli::runSpecFromArgs(
+            args, {"batch-evals", "cache-mb", "no-cache", "progress-every",
+                   "wall-deadline", "eval-wall-deadline"});
+        batch_evals = args.getInt("batch-evals", 0);
+        cache_mb = args.getInt("cache-mb", 64);
+        progress_every = args.getInt("progress-every", 0);
+        wall_deadline = args.getDouble("wall-deadline", 0.0);
+        eval_wall_deadline = args.getDouble("eval-wall-deadline", 0.0);
+        if (const std::string why = core::validate(spec); !why.empty())
+            throw std::invalid_argument(why);
+        if (batch_evals < 0 || batch_evals > 1024)
+            throw std::invalid_argument("--batch-evals must be 0..1024");
+        nets = core::buildNetworks(spec);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return usage(args.program().c_str());
     }
-    if (nets.empty())
-        return usage(args.program().c_str());
+    core::BackendOptions env_opt = core::backendOptions(spec);
 
-    // Backend selection: every evaluation stack (HW space + mapping
-    // search + PPA engine) is constructed through the registry, and
-    // each backend parses its own option vocabulary.
-    const std::string backend = args.getString("backend", "spatial");
-    core::BackendOptions env_opt;
-    try {
-        env_opt = core::parseBackendOptions(backend, args);
-    } catch (const core::BackendError &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return usage(args.program().c_str());
-    }
-
-    // Batched cold evaluation: --batch-evals N fans the engines'
-    // evaluation-independent candidate blocks across N threads,
-    // byte-identical to serial.
-    const std::int64_t batch_evals = args.getInt("batch-evals", 0);
-    if (batch_evals < 0 || batch_evals > 1024) {
-        std::cerr << "error: --batch-evals must be 0..1024\n";
-        return usage(args.program().c_str());
-    }
+    // Batched cold evaluation, byte-identical to serial.
     std::unique_ptr<common::ThreadPool> eval_pool;
     if (batch_evals > 0) {
         eval_pool = std::make_unique<common::ThreadPool>(
@@ -196,44 +134,27 @@ main(int argc, char **argv)
         env_opt.evalPool = eval_pool.get();
     }
 
-    // Evaluation cache: on by default; --no-cache disables it and
-    // --cache-mb sizes it. Search results do not depend on either.
-    const std::int64_t cache_mb = args.getInt("cache-mb", 64);
+    // Evaluation cache: search results do not depend on it.
+    const bool cached = !args.has("no-cache") && cache_mb > 0;
     accel::EvalCache cache(
-        args.has("no-cache") || cache_mb <= 0
-            ? 0
-            : static_cast<std::size_t>(cache_mb) * 1024 * 1024);
-    if (!args.has("no-cache") && cache_mb > 0)
+        cached ? static_cast<std::size_t>(cache_mb) * 1024 * 1024 : 0);
+    if (cached)
         env_opt.cache = &cache;
 
     // Learned surrogate screening: off by default (byte-identical
-    // legacy path); --surrogate (or --surrogate-keep F) turns it on,
-    // --no-surrogate wins over both. Exact evaluations stay the sole
-    // source of truth — screened-out candidates never reach results,
-    // checkpoints or the records/front/trace CSVs.
+    // legacy path); exact evaluations stay the sole source of truth.
     common::CorpusTap corpus_tap;
     surrogate::SurrogateContext surrogate_ctx;
-    surrogate_ctx.options.enabled =
-        (args.has("surrogate") || args.has("surrogate-keep")) &&
-        !args.has("no-surrogate");
-    surrogate_ctx.options.keep =
-        args.getDouble("surrogate-keep", surrogate_ctx.options.keep);
+    surrogate_ctx.options = core::surrogateOptions(spec);
     surrogate_ctx.tap = &corpus_tap;
-    if (surrogate_ctx.options.enabled) {
-        if (!(surrogate_ctx.options.keep > 0.0) ||
-            surrogate_ctx.options.keep > 1.0) {
-            std::cerr
-                << "error: --surrogate-keep must be in (0, 1]\n";
-            return usage(args.program().c_str());
-        }
+    if (surrogate_ctx.options.enabled)
         env_opt.surrogate = &surrogate_ctx;
-    }
 
     std::cout << "workloads:";
     for (const auto &net : nets)
         std::cout << " " << net.name();
     const std::unique_ptr<core::CoSearchEnv> backend_env =
-        core::makeBackendEnv(backend, std::move(nets), env_opt);
+        core::makeBackendEnv(spec.backend, std::move(nets), env_opt);
     std::cout << "\nbackend: " << backend_env->backendName();
     if (!backend_env->scenarioName().empty())
         std::cout << " (" << backend_env->scenarioName() << ")";
@@ -247,12 +168,7 @@ main(int argc, char **argv)
 
     // Optional fault injection: wrap the real environment in a
     // deterministic injector so the run exercises the supervisor.
-    common::FaultSpec fault_spec;
-    fault_spec.transientRate = args.getDouble("fault-rate", 0.0);
-    fault_spec.hangRate = args.getDouble("hang-rate", 0.0);
-    fault_spec.corruptRate = args.getDouble("corrupt-rate", 0.0);
-    fault_spec.seed =
-        static_cast<std::uint64_t>(args.getInt("fault-seed", 7));
+    const common::FaultSpec fault_spec = core::faultSpec(spec);
     core::FaultyEnv faulty_env(*backend_env,
                                common::FaultPlan(fault_spec));
     core::CoSearchEnv &env =
@@ -262,43 +178,19 @@ main(int argc, char **argv)
         std::cout << "fault injection: "
                   << faulty_env.plan().describe() << "\n";
 
-    const std::string algo = args.getString("algo", "unico");
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     core::CoSearchResult result;
     double search_wall_s = 0.0; // MOBO-driven algorithms only
-    if (algo == "nsga2") {
+    if (spec.algo == "nsga2") {
         baselines::Nsga2Config cfg;
-        cfg.population = static_cast<int>(args.getInt("batch", 20));
-        cfg.generations = static_cast<int>(args.getInt("iters", 8));
-        cfg.swBudget = static_cast<int>(args.getInt("bmax", 200));
-        cfg.seed = seed;
+        cfg.population = spec.batch;
+        cfg.generations = spec.iters;
+        cfg.swBudget = spec.bmax;
+        cfg.seed = spec.seed;
         result = baselines::runNsga2(env, cfg);
     } else {
-        core::DriverConfig cfg;
-        try {
-            cfg = core::driverConfigForAlgo(algo);
-        } catch (const std::exception &) {
-            return usage(args.program().c_str());
-        }
-        cfg.batchSize = static_cast<int>(args.getInt("batch", 20));
-        cfg.maxIter = static_cast<int>(args.getInt("iters", 8));
-        cfg.sh.bMax = static_cast<int>(args.getInt("bmax", 200));
-        cfg.realThreads =
-            static_cast<std::size_t>(args.getInt("threads", 1));
-        cfg.seed = seed;
-        cfg.checkpointPath = args.getString("checkpoint", "");
-        cfg.resumeFromCheckpoint = args.has("resume");
-        if (cfg.resumeFromCheckpoint && cfg.checkpointPath.empty()) {
-            std::cerr << "error: --resume requires --checkpoint FILE\n";
-            return usage(args.program().c_str());
-        }
-        cfg.checkpointEvery =
-            static_cast<int>(args.getInt("checkpoint-every", 1));
-        cfg.checkpointKeep =
-            static_cast<int>(args.getInt("checkpoint-keep", 3));
-        cfg.wallDeadlineSeconds = args.getDouble("wall-deadline", 0.0);
-        cfg.evalWallDeadlineSeconds =
-            args.getDouble("eval-wall-deadline", 0.0);
+        core::DriverConfig cfg = core::driverConfig(spec);
+        cfg.wallDeadlineSeconds = wall_deadline;
+        cfg.evalWallDeadlineSeconds = eval_wall_deadline;
         // Graceful shutdown: SIGINT/SIGTERM cancel this token; the
         // driver drains, checkpoints and returns with interrupted
         // state instead of dying mid-write. Scoped install that stays
@@ -326,8 +218,7 @@ main(int argc, char **argv)
             }
         };
         NdjsonProgress progress;
-        progress.every =
-            static_cast<int>(args.getInt("progress-every", 0));
+        progress.every = static_cast<int>(progress_every);
         core::ProgressObserver *observer =
             progress.every > 0 ? &progress : nullptr;
 
@@ -406,7 +297,7 @@ main(int argc, char **argv)
                   << env.describeHw(best.hw) << "\n";
     }
 
-    const std::string prefix = args.getString("csv-prefix", "");
+    const std::string &prefix = spec.csvPrefix;
     if (!prefix.empty()) {
         bool ok =
             core::writeRecordsCsv(result, env, prefix + "_records.csv") &&

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/cli.hh"
@@ -63,17 +64,23 @@ main(int argc, char **argv)
     if (args.has("help"))
         return usage();
 
-    const std::int64_t cache_mb = args.getInt("cache-mb", 64);
+    std::int64_t cache_mb = 0, max_concurrent = 0, max_queued = 0;
+    try {
+        cache_mb = args.getInt("cache-mb", 64);
+        max_concurrent = args.getInt("max-concurrent", 2);
+        max_queued = args.getInt("max-queued", 16);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage();
+    }
     accel::EvalCache cache(
         args.has("no-cache") || cache_mb <= 0
             ? 0
             : static_cast<std::size_t>(cache_mb) * 1024 * 1024);
 
     core::JobManagerConfig mgr_cfg;
-    mgr_cfg.maxConcurrent =
-        static_cast<std::size_t>(args.getInt("max-concurrent", 2));
-    mgr_cfg.maxQueued =
-        static_cast<std::size_t>(args.getInt("max-queued", 16));
+    mgr_cfg.maxConcurrent = static_cast<std::size_t>(max_concurrent);
+    mgr_cfg.maxQueued = static_cast<std::size_t>(max_queued);
     if (!args.has("no-cache") && cache_mb > 0)
         mgr_cfg.sharedCache = &cache;
 

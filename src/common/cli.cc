@@ -1,8 +1,35 @@
 #include "common/cli.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace unico::common {
+
+namespace {
+
+/** The last value of --name parsed by @p parse (strtoll/strtod
+ *  style), which must consume all of it without a range error;
+ *  @p fallback when --name is absent or has an empty value. */
+template <typename T, typename Parse>
+T
+number(const std::map<std::string, std::vector<std::string>> &options,
+       const std::string &name, T fallback, const char *kind, Parse parse)
+{
+    const auto it = options.find(name);
+    if (it == options.end() || it->second.back().empty())
+        return fallback;
+    const std::string &value = it->second.back();
+    char *end = nullptr;
+    errno = 0;
+    const T result = parse(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument("--" + name + ": '" + value +
+                                    "' is not " + kind);
+    return result;
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, const char *const *argv)
 {
@@ -21,7 +48,7 @@ CliArgs::CliArgs(int argc, const char *const *argv)
                        != 0) {
                 value = argv[++i];
             }
-            options_[name] = value;
+            options_[name].push_back(std::move(value));
         } else {
             positional_.push_back(arg);
         }
@@ -32,7 +59,7 @@ std::vector<std::string>
 CliArgs::optionNames() const
 {
     std::vector<std::string> names;
-    for (const auto &[name, value] : options_)
+    for (const auto &[name, values] : options_)
         names.push_back(name);
     return names;
 }
@@ -47,25 +74,32 @@ std::string
 CliArgs::getString(const std::string &name, const std::string &fallback) const
 {
     auto it = options_.find(name);
-    return it == options_.end() ? fallback : it->second;
+    return it == options_.end() ? fallback : it->second.back();
+}
+
+std::vector<std::string>
+CliArgs::getAll(const std::string &name) const
+{
+    auto it = options_.find(name);
+    return it == options_.end() ? std::vector<std::string>{} : it->second;
 }
 
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t fallback) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty())
-        return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return number(options_, name, fallback, "an integer",
+                  [](const char *s, char **end) -> std::int64_t {
+                      return std::strtoll(s, end, 10);
+                  });
 }
 
 double
 CliArgs::getDouble(const std::string &name, double fallback) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty())
-        return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return number(options_, name, fallback, "a number",
+                  [](const char *s, char **end) {
+                      return std::strtod(s, end);
+                  });
 }
 
 } // namespace unico::common

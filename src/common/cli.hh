@@ -18,7 +18,8 @@ namespace unico::common {
  * Parses "--key value" and "--flag" style options.
  *
  * Unknown options are retained and can be queried; positional
- * arguments are collected in order.
+ * arguments are collected in order. A repeated option keeps every
+ * value: the scalar getters read the last one, getAll() all of them.
  */
 class CliArgs
 {
@@ -32,10 +33,16 @@ class CliArgs
     std::string getString(const std::string &name,
                           const std::string &fallback) const;
 
-    /** Integer value of --name or @p fallback. */
+    /** Every value of a repeated --name, in command-line order. */
+    std::vector<std::string> getAll(const std::string &name) const;
+
+    /** Integer value of --name or @p fallback (also for an empty
+     *  value). Throws std::invalid_argument naming the flag when the
+     *  value is not a base-10 integer or has trailing characters. */
     std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
 
-    /** Floating-point value of --name or @p fallback. */
+    /** Floating-point value of --name or @p fallback; throws like
+     *  getInt() on a malformed value. */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Names of every option given (without "--"), sorted. */
@@ -49,7 +56,7 @@ class CliArgs
 
   private:
     std::string program_;
-    std::map<std::string, std::string> options_;
+    std::map<std::string, std::vector<std::string>> options_;
     std::vector<std::string> positional_;
 };
 

@@ -1,30 +1,26 @@
 /**
  * @file
- * Named backend registry: one place where evaluation stacks
- * (platform binding = HW design space + mapping search + PPA engine)
- * are registered, looked up and constructed.
+ * Backend table: the evaluation stacks (platform binding = HW design
+ * space + mapping search + PPA engine) every tool constructs by name.
  *
- * The CLI, every bench binary and the tests select their platform
- * through this registry ("spatial", "ascend"), so adding a backend
- * is one registerBackend() call — no per-tool plumbing. Each backend
- * owns its option vocabulary: parseBackendOptions() maps the shared
- * CLI flags onto BackendOptions and rejects flags that do not apply
- * to the chosen backend with a typed BackendError.
+ * The CLI, the job server, every bench binary and the tests select
+ * their platform here ("spatial", "ascend"). Which per-backend
+ * options a backend accepts is decided from a RunSpec by
+ * core::backendOptions() (core/run_spec.hh).
  */
 
 #ifndef UNICO_CORE_BACKEND_HH
 #define UNICO_CORE_BACKEND_HH
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/ppa.hh"
 #include "accel/spatial.hh"
 #include "common/cancel.hh"
-#include "common/cli.hh"
 #include "core/env.hh"
 #include "mapping/engine.hh"
 #include "workload/network.hh"
@@ -35,7 +31,7 @@ class ThreadPool;
 
 namespace unico::core {
 
-/** Typed failure of backend lookup or option parsing. */
+/** Typed failure of backend lookup or of a backend option. */
 class BackendError : public std::runtime_error
 {
   public:
@@ -44,8 +40,8 @@ class BackendError : public std::runtime_error
 
 /**
  * Backend-agnostic construction options. Each backend consumes the
- * fields it understands and its option parser rejects CLI flags
- * that would silently be ignored.
+ * fields it understands; core::backendOptions() rejects a spec field
+ * a backend would silently ignore.
  */
 struct BackendOptions
 {
@@ -75,34 +71,16 @@ struct BackendOptions
     const common::CancelToken *cancel = nullptr;
 };
 
-/** Constructs a ready-to-search environment for a workload list. */
-using BackendFactory = std::function<std::unique_ptr<CoSearchEnv>(
-    std::vector<workload::Network> networks, const BackendOptions &opt)>;
-
-/** Maps shared CLI flags onto BackendOptions; throws BackendError on
- *  a malformed value or a flag foreign to the backend. */
-using BackendOptionParser =
-    std::function<BackendOptions(const common::CliArgs &args)>;
-
-/** One registered backend. */
+/** One built-in backend. */
 struct BackendInfo
 {
-    std::string description; ///< one-line summary for --help output
-    BackendFactory factory;
-    BackendOptionParser parseOptions;
+    std::string_view name;
+    std::string_view description; ///< one-line summary for --help
+    std::unique_ptr<CoSearchEnv> (*factory)(
+        std::vector<workload::Network> networks, const BackendOptions &opt);
 };
 
-/**
- * Register (or replace) a backend under @p name. The built-in
- * backends ("spatial", "ascend") are registered on first use of any
- * registry call; user backends may be added at any time.
- */
-void registerBackend(const std::string &name, BackendInfo info);
-
-/** Whether @p name is a registered backend. */
-bool isBackendRegistered(const std::string &name);
-
-/** All registered backend names, sorted. */
+/** All backend names, sorted. */
 std::vector<std::string> backendNames();
 
 /** Lookup; throws BackendError (listing known names) when absent. */
@@ -113,15 +91,6 @@ std::unique_ptr<CoSearchEnv>
 makeBackendEnv(const std::string &name,
                std::vector<workload::Network> networks,
                const BackendOptions &opt);
-
-/**
- * Parse the per-backend options of @p name from CLI flags
- * (--scenario / --engine / --area-budget / --max-shapes). Throws
- * BackendError for an unknown backend, a malformed value, or a flag
- * the chosen backend does not support.
- */
-BackendOptions parseBackendOptions(const std::string &name,
-                                   const common::CliArgs &args);
 
 } // namespace unico::core
 

@@ -47,7 +47,7 @@ struct SearchCheckpoint
      *  checkpoint whose fingerprint differs from the live config. */
     std::string configKey;
     /** Identity of the producing evaluation stack (version 3+):
-     *  backend registry name, scenario label and workload digest.
+     *  backend table name, scenario label and workload digest.
      *  Empty in documents written by older versions — compatibility
      *  checks skip empty fields instead of refusing legacy files. */
     std::string backend;

@@ -8,7 +8,7 @@
  * job so several jobs can coexist in a single process — each with
  * its own seeded trajectory, virtual-time ledger, cancellation token
  * and checkpoint file namespace — while sharing only read-mostly
- * resources (the sharded evaluation cache, the backend registry).
+ * resources (the sharded evaluation cache, the backend table).
  *
  * The stepped driver (core::CoSearch) accepts an optional JobContext;
  * when given one it charges the job's clock, polls the job's cancel

@@ -1,19 +1,12 @@
 #include "core/job_manager.hh"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
-#include "common/cli.hh"
-#include "common/fault.hh"
 #include "common/shard_cache.hh"
 #include "common/shutdown.hh"
-#include "core/backend.hh"
 #include "core/fault_env.hh"
 #include "core/report.hh"
-#include "surrogate/learned_model.hh"
-#include "workload/model_zoo.hh"
-#include "workload/parser.hh"
 
 namespace unico::core {
 
@@ -50,146 +43,6 @@ toString(SubmitError error)
     return "?";
 }
 
-namespace {
-
-std::vector<std::string>
-stringArray(const common::Json &value)
-{
-    std::vector<std::string> out;
-    if (value.isString()) {
-        out.push_back(value.asString());
-        return out;
-    }
-    for (std::size_t i = 0; i < value.size(); ++i)
-        out.push_back(value.at(i).asString());
-    return out;
-}
-
-} // namespace
-
-JobSpec
-jobSpecFromJson(const common::Json &doc)
-{
-    if (!doc.isObject())
-        throw std::runtime_error("job spec must be a JSON object");
-    JobSpec spec;
-    for (const auto &[key, value] : doc.members()) {
-        try {
-            if (key == "name") {
-                spec.name = value.asString();
-            } else if (key == "model" || key == "models") {
-                for (auto &m : stringArray(value))
-                    spec.models.push_back(std::move(m));
-            } else if (key == "workload" || key == "workloads") {
-                for (auto &w : stringArray(value))
-                    spec.workloads.push_back(std::move(w));
-            } else if (key == "backend") {
-                spec.backend = value.asString();
-            } else if (key == "scenario") {
-                spec.scenario = value.asString();
-            } else if (key == "engine") {
-                spec.engine = value.asString();
-            } else if (key == "area_budget") {
-                spec.areaBudgetMm2 = value.asDouble();
-            } else if (key == "max_shapes") {
-                spec.maxShapes = value.asInt();
-            } else if (key == "algo") {
-                spec.algo = value.asString();
-            } else if (key == "batch") {
-                spec.batch = static_cast<int>(value.asInt());
-            } else if (key == "iters") {
-                spec.iters = static_cast<int>(value.asInt());
-            } else if (key == "bmax") {
-                spec.bmax = static_cast<int>(value.asInt());
-            } else if (key == "seed") {
-                spec.seed = static_cast<std::uint64_t>(value.asInt());
-            } else if (key == "threads") {
-                spec.threads =
-                    static_cast<std::size_t>(value.asInt());
-            } else if (key == "checkpoint") {
-                spec.checkpoint = value.asString();
-            } else if (key == "resume") {
-                spec.resume = value.asBool();
-            } else if (key == "checkpoint_every") {
-                spec.checkpointEvery =
-                    static_cast<int>(value.asInt());
-            } else if (key == "checkpoint_keep") {
-                spec.checkpointKeep = static_cast<int>(value.asInt());
-            } else if (key == "csv_prefix") {
-                spec.csvPrefix = value.asString();
-            } else if (key == "fault_rate") {
-                spec.faultRate = value.asDouble();
-            } else if (key == "hang_rate") {
-                spec.hangRate = value.asDouble();
-            } else if (key == "corrupt_rate") {
-                spec.corruptRate = value.asDouble();
-            } else if (key == "fault_seed") {
-                spec.faultSeed =
-                    static_cast<std::uint64_t>(value.asInt());
-            } else if (key == "surrogate_keep") {
-                spec.surrogateKeep = value.asDouble();
-            } else {
-                throw std::runtime_error("unknown field");
-            }
-        } catch (const std::exception &e) {
-            throw std::runtime_error("job-spec field '" + key +
-                                     "': " + e.what());
-        }
-    }
-    return spec;
-}
-
-common::Json
-toJson(const JobSpec &spec)
-{
-    common::Json doc = common::Json::object();
-    if (!spec.name.empty())
-        doc["name"] = spec.name;
-    common::Json models = common::Json::array();
-    for (const auto &m : spec.models)
-        models.push(m);
-    doc["models"] = std::move(models);
-    common::Json workloads = common::Json::array();
-    for (const auto &w : spec.workloads)
-        workloads.push(w);
-    doc["workloads"] = std::move(workloads);
-    doc["backend"] = spec.backend;
-    if (!spec.scenario.empty())
-        doc["scenario"] = spec.scenario;
-    if (!spec.engine.empty())
-        doc["engine"] = spec.engine;
-    if (spec.areaBudgetMm2 > 0.0)
-        doc["area_budget"] = spec.areaBudgetMm2;
-    if (spec.maxShapes > 0)
-        doc["max_shapes"] = spec.maxShapes;
-    doc["algo"] = spec.algo;
-    doc["batch"] = spec.batch;
-    doc["iters"] = spec.iters;
-    doc["bmax"] = spec.bmax;
-    doc["seed"] = static_cast<std::int64_t>(spec.seed);
-    doc["threads"] = spec.threads;
-    if (!spec.checkpoint.empty()) {
-        doc["checkpoint"] = spec.checkpoint;
-        doc["resume"] = spec.resume;
-        doc["checkpoint_every"] = spec.checkpointEvery;
-        doc["checkpoint_keep"] = spec.checkpointKeep;
-    }
-    if (!spec.csvPrefix.empty())
-        doc["csv_prefix"] = spec.csvPrefix;
-    if (spec.faultRate > 0.0)
-        doc["fault_rate"] = spec.faultRate;
-    if (spec.hangRate > 0.0)
-        doc["hang_rate"] = spec.hangRate;
-    if (spec.corruptRate > 0.0)
-        doc["corrupt_rate"] = spec.corruptRate;
-    if (spec.faultRate > 0.0 || spec.hangRate > 0.0 ||
-        spec.corruptRate > 0.0)
-        doc["fault_seed"] = static_cast<std::int64_t>(spec.faultSeed);
-    if (spec.surrogateKeep > 0.0)
-        doc["surrogate_keep"] = spec.surrogateKeep;
-    return doc;
-}
-
 common::Json
 toJson(const JobStatus &status)
 {
@@ -211,80 +64,12 @@ toJson(const JobStatus &status)
     return doc;
 }
 
-namespace {
-
-/**
- * Synthesize the CLI flag set a spec's backend options correspond to
- * and run it through parseBackendOptions — the exact validation and
- * defaulting path co_search_cli uses, so the server and the CLI
- * accept and reject backend options identically.
- */
-core::BackendOptions
-backendOptionsFor(const JobSpec &spec)
-{
-    std::vector<std::string> argv = {"job-spec"};
-    auto add = [&](const char *flag, std::string value) {
-        argv.emplace_back(flag);
-        argv.push_back(std::move(value));
-    };
-    if (!spec.scenario.empty())
-        add("--scenario", spec.scenario);
-    if (!spec.engine.empty())
-        add("--engine", spec.engine);
-    if (spec.areaBudgetMm2 > 0.0)
-        add("--area-budget", std::to_string(spec.areaBudgetMm2));
-    if (spec.maxShapes > 0)
-        add("--max-shapes", std::to_string(spec.maxShapes));
-    std::vector<const char *> ptrs;
-    ptrs.reserve(argv.size());
-    for (const auto &arg : argv)
-        ptrs.push_back(arg.c_str());
-    const common::CliArgs args(static_cast<int>(ptrs.size()),
-                               ptrs.data());
-    return parseBackendOptions(spec.backend, args);
-}
-
-/** First validation failure of a spec, or empty when acceptable. */
-std::string
-validateSpec(const JobSpec &spec)
-{
-    if (spec.models.empty() && spec.workloads.empty())
-        return "spec needs at least one model or workload";
-    if (spec.batch < 1 || spec.iters < 1 || spec.bmax < 1)
-        return "batch, iters and bmax must be >= 1";
-    if (spec.threads < 1 || spec.threads > 256)
-        return "threads must be 1..256";
-    if (spec.resume && spec.checkpoint.empty())
-        return "resume requires a checkpoint path";
-    if (spec.checkpointEvery < 1 || spec.checkpointKeep < 1)
-        return "checkpoint_every and checkpoint_keep must be >= 1";
-    if (spec.surrogateKeep < 0.0 || spec.surrogateKeep > 1.0)
-        return "surrogate_keep must be in [0, 1]";
-    if (spec.faultRate < 0.0 || spec.faultRate > 1.0 ||
-        spec.hangRate < 0.0 || spec.hangRate > 1.0 ||
-        spec.corruptRate < 0.0 || spec.corruptRate > 1.0)
-        return "fault rates must be in [0, 1]";
-    try {
-        driverConfigForAlgo(spec.algo);
-    } catch (const std::exception &e) {
-        return e.what();
-    }
-    try {
-        backendOptionsFor(spec);
-    } catch (const std::exception &e) {
-        return e.what();
-    }
-    return {};
-}
-
-} // namespace
-
 /** One managed job: spec, isolated context, life-cycle state and the
  *  replayable progress-event log. Guarded by JobManager::mu_. */
 struct JobManager::Job
 {
     std::uint64_t id = 0;
-    JobSpec spec;
+    RunSpec spec;
     JobContext ctx;
     JobState state = JobState::Queued;
     bool pauseRequested = false;
@@ -316,10 +101,13 @@ JobManager::~JobManager()
 }
 
 SubmitResult
-JobManager::submit(JobSpec spec)
+JobManager::submit(RunSpec spec)
 {
-    if (const std::string why = validateSpec(spec); !why.empty())
+    if (const std::string why = validate(spec); !why.empty())
         return SubmitResult{0, SubmitError::BadSpec, why};
+    if (spec.algo == "nsga2")
+        return SubmitResult{0, SubmitError::BadSpec,
+                            "algo nsga2 runs only through co_search_cli"};
 
     std::unique_lock<std::mutex> lk(mu_);
     if (stopping_)
@@ -544,31 +332,19 @@ JobManager::runJob(Job &job)
         // scheduler thread: workloads, environment, fault injector,
         // surrogate context, driver. The only shared mutable
         // resource is the (byte-neutral) evaluation cache.
-        std::vector<workload::Network> nets;
-        for (const auto &model : job.spec.models)
-            nets.push_back(workload::makeNetwork(model));
-        for (const auto &file : job.spec.workloads)
-            nets.push_back(workload::parseNetworkFile(file));
-
-        BackendOptions env_opt = backendOptionsFor(job.spec);
+        BackendOptions env_opt = backendOptions(job.spec);
         env_opt.cache = cfg_.sharedCache;
         env_opt.cancel = &job.ctx.cancel;
 
         surrogate::SurrogateContext surrogate_ctx;
-        surrogate_ctx.options.enabled = job.spec.surrogateKeep > 0.0;
-        if (surrogate_ctx.options.enabled) {
-            surrogate_ctx.options.keep = job.spec.surrogateKeep;
+        surrogate_ctx.options = surrogateOptions(job.spec);
+        if (surrogate_ctx.options.enabled)
             env_opt.surrogate = &surrogate_ctx;
-        }
 
-        const std::unique_ptr<CoSearchEnv> backend_env =
-            makeBackendEnv(job.spec.backend, std::move(nets), env_opt);
+        const std::unique_ptr<CoSearchEnv> backend_env = makeBackendEnv(
+            job.spec.backend, buildNetworks(job.spec), env_opt);
 
-        common::FaultSpec fault_spec;
-        fault_spec.transientRate = job.spec.faultRate;
-        fault_spec.hangRate = job.spec.hangRate;
-        fault_spec.corruptRate = job.spec.corruptRate;
-        fault_spec.seed = job.spec.faultSeed;
+        const common::FaultSpec fault_spec = faultSpec(job.spec);
         FaultyEnv faulty_env(*backend_env,
                              common::FaultPlan(fault_spec));
         CoSearchEnv &env =
@@ -576,16 +352,7 @@ JobManager::runJob(Job &job)
                 ? static_cast<CoSearchEnv &>(faulty_env)
                 : *backend_env;
 
-        DriverConfig cfg = driverConfigForAlgo(job.spec.algo);
-        cfg.batchSize = job.spec.batch;
-        cfg.maxIter = job.spec.iters;
-        cfg.sh.bMax = job.spec.bmax;
-        cfg.realThreads = job.spec.threads;
-        cfg.seed = job.spec.seed;
-        cfg.checkpointPath = job.spec.checkpoint;
-        cfg.resumeFromCheckpoint = job.spec.resume;
-        cfg.checkpointEvery = job.spec.checkpointEvery;
-        cfg.checkpointKeep = job.spec.checkpointKeep;
+        const DriverConfig cfg = driverConfig(job.spec);
 
         // Observer: append to the job's replayable event log under
         // the manager lock and wake streaming subscribers.

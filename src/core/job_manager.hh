@@ -3,10 +3,10 @@
  * Multi-tenant co-search job manager.
  *
  * Turns the one-run-per-process driver stack into schedulable jobs:
- * submit() enqueues a declarative JobSpec (the same vocabulary as
- * the co_search_cli flags), a fixed pool of scheduler threads runs
- * up to maxConcurrent jobs at once through the stepped CoSearch
- * driver, and cancel/pause/resume/status act on individual jobs
+ * submit() enqueues a RunSpec (core/run_spec.hh, the spec
+ * co_search_cli reads from its flags), a fixed pool of scheduler
+ * threads runs up to maxConcurrent jobs at once through the stepped
+ * CoSearch driver, and cancel/pause/resume/status act on individual jobs
  * without perturbing their neighbours.
  *
  * Isolation model: each job owns a JobContext (seeded trajectory,
@@ -45,49 +45,9 @@
 #include "core/driver.hh"
 #include "core/job_context.hh"
 #include "core/progress.hh"
+#include "core/run_spec.hh"
 
 namespace unico::core {
-
-/**
- * Declarative description of one co-search job — the JSON-mappable
- * mirror of the co_search_cli flag vocabulary. A spec run through
- * the manager produces byte-identical records/front/trace CSVs and
- * checkpoints to the same flags run through the CLI.
- */
-struct JobSpec
-{
-    std::string name;                   ///< display label (optional)
-    std::vector<std::string> models;    ///< zoo model names
-    std::vector<std::string> workloads; ///< workload file paths
-    std::string backend = "spatial";
-    std::string scenario;  ///< --scenario (empty = backend default)
-    std::string engine;    ///< --engine (empty = backend default)
-    double areaBudgetMm2 = 0.0; ///< --area-budget (<= 0 = default)
-    std::int64_t maxShapes = 0; ///< --max-shapes (<= 0 = default)
-    std::string algo = "unico"; ///< unico|hasco|mobohb|sh|msh
-    int batch = 20;
-    int iters = 8;
-    int bmax = 200;
-    std::uint64_t seed = 1;
-    std::size_t threads = 1; ///< per-job round-dispatch threads
-    std::string checkpoint;  ///< checkpoint path (empty = disabled)
-    bool resume = false;
-    int checkpointEvery = 1;
-    int checkpointKeep = 3;
-    std::string csvPrefix; ///< CSV export prefix (empty = disabled)
-    double faultRate = 0.0;
-    double hangRate = 0.0;
-    double corruptRate = 0.0;
-    std::uint64_t faultSeed = 7;
-    /** > 0 enables learned surrogate screening with this keep
-     *  fraction (byte-neutral by contract). */
-    double surrogateKeep = 0.0;
-};
-
-/** Parse a spec from a JSON job document; throws std::runtime_error
- *  with a field-naming message on malformed input. */
-JobSpec jobSpecFromJson(const common::Json &doc);
-common::Json toJson(const JobSpec &spec);
 
 /** Job life-cycle states. */
 enum class JobState {
@@ -169,8 +129,9 @@ class JobManager
     JobManager(const JobManager &) = delete;
     JobManager &operator=(const JobManager &) = delete;
 
-    /** Validate and enqueue a job. Typed rejection, never blocks. */
-    SubmitResult submit(JobSpec spec);
+    /** validate() and enqueue a job. Typed rejection, never blocks;
+     *  nsga2 is rejected (BadSpec): it runs only through the CLI. */
+    SubmitResult submit(RunSpec spec);
 
     /** Cancel a job (queued or running). A running job drains at the
      *  next cooperative boundary and writes its final checkpoint.

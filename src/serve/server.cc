@@ -165,9 +165,9 @@ JobServer::handleConnection(int fd)
 
     // POST /jobs — submit.
     if (req.method == "POST" && path.size() == 1) {
-        core::JobSpec spec;
+        core::RunSpec spec;
         try {
-            spec = core::jobSpecFromJson(
+            spec = core::runSpecFromJson(
                 common::Json::parse(req.body));
         } catch (const std::exception &e) {
             respond(400, errorBody(e.what()));

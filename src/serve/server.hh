@@ -6,7 +6,7 @@
  * plane for core::JobManager:
  *
  *   GET  /healthz           liveness + scheduler capacity
- *   POST /jobs              submit a JSON JobSpec -> {"id": N}
+ *   POST /jobs              submit a JSON RunSpec -> {"id": N}
  *   GET  /jobs              status snapshots of every job
  *   GET  /jobs/N            status snapshot of one job
  *   GET  /jobs/N/events     newline-delimited JSON progress stream

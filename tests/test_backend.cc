@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the backend registry (core/backend.hh): built-in
- * registration, typed lookup failure, per-backend option parsing with
- * foreign-flag rejection, stack-identity reporting and user backend
- * registration.
+ * Tests for the backend table (core/backend.hh): built-in backends,
+ * typed lookup failure, per-backend options of a RunSpec with
+ * foreign-flag rejection (core::backendOptions) and stack-identity
+ * reporting.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/run_spec_args.hh"
 #include "core/backend.hh"
 #include "workload/model_zoo.hh"
 
@@ -21,14 +22,26 @@ using core::BackendOptions;
 
 namespace {
 
-/** CliArgs over a token list (argv[0] is supplied). */
-common::CliArgs
-makeArgs(const std::vector<std::string> &tokens)
+/** Backend options of the RunSpec that "--backend @p backend" plus
+ *  @p tokens describe. */
+BackendOptions
+specOptions(const std::string &backend,
+            const std::vector<std::string> &tokens)
 {
-    std::vector<const char *> argv = {"test"};
+    std::vector<const char *> argv = {"test", "--backend",
+                                      backend.c_str()};
     for (const auto &t : tokens)
         argv.push_back(t.c_str());
-    return common::CliArgs(static_cast<int>(argv.size()), argv.data());
+    const common::CliArgs args(static_cast<int>(argv.size()), argv.data());
+    return core::backendOptions(cli::runSpecFromArgs(args));
+}
+
+/** Whether @p name is a built-in backend. */
+bool
+isBackend(const std::string &name)
+{
+    const auto names = core::backendNames();
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 std::vector<workload::Network>
@@ -41,9 +54,9 @@ nets(const std::string &name)
 
 TEST(BackendRegistry, BuiltinsPresentAndSorted)
 {
-    EXPECT_TRUE(core::isBackendRegistered("spatial"));
-    EXPECT_TRUE(core::isBackendRegistered("ascend"));
-    EXPECT_FALSE(core::isBackendRegistered("tpu"));
+    EXPECT_TRUE(isBackend("spatial"));
+    EXPECT_TRUE(isBackend("ascend"));
+    EXPECT_FALSE(isBackend("tpu"));
 
     const auto names = core::backendNames();
     ASSERT_GE(names.size(), 2u);
@@ -121,31 +134,28 @@ TEST(BackendRegistry, ScenarioNameFollowsOptions)
 
 TEST(BackendOptionsParse, SpatialDefaultsAndOverrides)
 {
-    const auto def = core::parseBackendOptions("spatial", makeArgs({}));
+    const auto def = specOptions("spatial", {});
     EXPECT_EQ(def.scenario, accel::Scenario::Edge);
     EXPECT_EQ(def.engine, mapping::EngineKind::Annealing);
     EXPECT_EQ(def.maxShapesPerNetwork, 5u);
 
-    const auto cloud = core::parseBackendOptions(
-        "spatial", makeArgs({"--scenario", "cloud", "--engine", "genetic",
-                             "--max-shapes", "3"}));
+    const auto cloud = specOptions("spatial", {"--scenario", "cloud",
+                                               "--engine", "genetic",
+                                               "--max-shapes", "3"});
     EXPECT_EQ(cloud.scenario, accel::Scenario::Cloud);
     EXPECT_EQ(cloud.engine, mapping::EngineKind::Genetic);
     EXPECT_EQ(cloud.maxShapesPerNetwork, 3u);
 
-    EXPECT_THROW(core::parseBackendOptions(
-                     "spatial", makeArgs({"--scenario", "mars"})),
+    EXPECT_THROW(specOptions("spatial", {"--scenario", "mars"}),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "spatial", makeArgs({"--engine", "quantum"})),
+    EXPECT_THROW(specOptions("spatial", {"--engine", "quantum"}),
                  BackendError);
 }
 
 TEST(BackendOptionsParse, SpatialRejectsForeignAreaBudget)
 {
     try {
-        core::parseBackendOptions("spatial",
-                                  makeArgs({"--area-budget", "100"}));
+        specOptions("spatial", {"--area-budget", "100"});
         FAIL() << "expected BackendError";
     } catch (const BackendError &e) {
         const std::string msg = e.what();
@@ -156,57 +166,29 @@ TEST(BackendOptionsParse, SpatialRejectsForeignAreaBudget)
 
 TEST(BackendOptionsParse, AscendDefaultsAndOverrides)
 {
-    const auto def = core::parseBackendOptions("ascend", makeArgs({}));
+    const auto def = specOptions("ascend", {});
     EXPECT_DOUBLE_EQ(def.areaBudgetMm2, 200.0);
 
-    const auto tight = core::parseBackendOptions(
-        "ascend", makeArgs({"--area-budget", "96.5"}));
+    const auto tight = specOptions("ascend", {"--area-budget", "96.5"});
     EXPECT_DOUBLE_EQ(tight.areaBudgetMm2, 96.5);
 
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--area-budget", "0"})),
+    EXPECT_THROW(specOptions("ascend", {"--area-budget", "0"}),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--area-budget", "-3"})),
+    EXPECT_THROW(specOptions("ascend", {"--area-budget", "-3"}),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--max-shapes", "0"})),
+    EXPECT_THROW(specOptions("ascend", {"--max-shapes", "0"}),
                  BackendError);
 }
 
 TEST(BackendOptionsParse, AscendRejectsForeignSpatialFlags)
 {
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--scenario", "edge"})),
+    EXPECT_THROW(specOptions("ascend", {"--scenario", "edge"}),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--engine", "random"})),
+    EXPECT_THROW(specOptions("ascend", {"--engine", "random"}),
                  BackendError);
 }
 
 TEST(BackendOptionsParse, UnknownBackendThrows)
 {
-    EXPECT_THROW(core::parseBackendOptions("npu9000", makeArgs({})),
-                 BackendError);
-}
-
-TEST(BackendRegistry, UserBackendRegistration)
-{
-    // A user backend is a plain registerBackend() call; reuse the
-    // spatial factory under a new name to keep the test hermetic.
-    ASSERT_FALSE(core::isBackendRegistered("test-alias"));
-    core::BackendInfo info = core::backendInfo("spatial");
-    info.description = "alias of spatial for registry tests";
-    core::registerBackend("test-alias", info);
-
-    EXPECT_TRUE(core::isBackendRegistered("test-alias"));
-    const auto names = core::backendNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), "test-alias"),
-              names.end());
-
-    BackendOptions opt;
-    opt.maxShapesPerNetwork = 2;
-    const auto env =
-        core::makeBackendEnv("test-alias", nets("mobilenet"), opt);
-    EXPECT_EQ(env->backendName(), "spatial"); // env reports its stack
+    EXPECT_THROW(specOptions("npu9000", {}), BackendError);
 }

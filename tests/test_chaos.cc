@@ -249,10 +249,21 @@ TEST(Chaos, SigtermDrainsCheckpointsAndExitsResumable)
         const bool resume = fileExists(dir + "/ck.json");
         const pid_t pid = spawn(cliArgs(dir, resume));
         ASSERT_GT(pid, 0);
-        usleep(50 * 1000);
-        kill(pid, SIGTERM);
+        // Signal once the first checkpoint exists (the handler is
+        // installed by then, however slow the build), unless the run
+        // finishes first; 60 s bounds the wait.
         int status = 0;
-        waitpid(pid, &status, 0);
+        bool exited = false;
+        for (int waited_ms = 0; waited_ms < 60 * 1000; ++waited_ms) {
+            exited = waitpid(pid, &status, WNOHANG) == pid;
+            if (exited || fileExists(dir + "/ck.json"))
+                break;
+            usleep(1000);
+        }
+        if (!exited) {
+            kill(pid, SIGTERM);
+            waitpid(pid, &status, 0);
+        }
         ASSERT_TRUE(WIFEXITED(status))
             << "SIGTERM must be handled, not kill the process";
         const int code = WEXITSTATUS(status);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/cli.hh"
 
 using unico::common::CliArgs;
@@ -62,4 +66,49 @@ TEST(Cli, NegativeNumbers)
 {
     const auto args = parse({"prog", "--offset", "-12"});
     EXPECT_EQ(args.getInt("offset", 0), -12);
+}
+
+TEST(Cli, RepeatedOptionKeepsEveryValue)
+{
+    const auto args =
+        parse({"prog", "--model", "resnet", "--seed", "1", "--model=vit",
+               "--seed", "2"});
+    EXPECT_EQ(args.getAll("model"),
+              (std::vector<std::string>{"resnet", "vit"}));
+    EXPECT_EQ(args.getString("model", ""), "vit");
+    EXPECT_EQ(args.getInt("seed", 0), 2) << "scalar getters read the last";
+    EXPECT_TRUE(args.getAll("absent").empty());
+    EXPECT_EQ(args.optionNames(),
+              (std::vector<std::string>{"model", "seed"}));
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag)
+{
+    const auto args = parse({"prog", "--batch", "abc", "--seed", "3x",
+                             "--rate", "0.5.1", "--scale", "1e", "--big",
+                             "99999999999999999999", "--tiny", "-"});
+    for (const char *flag : {"batch", "seed", "big", "tiny"}) {
+        try {
+            args.getInt(flag, 0);
+            ADD_FAILURE() << "--" << flag << " parsed";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(args.getDouble("rate", 0.0), std::invalid_argument);
+    EXPECT_THROW(args.getDouble("scale", 0.0), std::invalid_argument);
+    EXPECT_THROW(args.getDouble("batch", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, WellFormedNumbersStillParse)
+{
+    const auto args = parse({"prog", "--a", "+7", "--b", "-0", "--c",
+                             "2.5e-1", "--d", "-3", "--e="});
+    EXPECT_EQ(args.getInt("a", 0), 7);
+    EXPECT_EQ(args.getInt("b", 1), 0);
+    EXPECT_DOUBLE_EQ(args.getDouble("c", 0.0), 0.25);
+    EXPECT_DOUBLE_EQ(args.getDouble("d", 0.0), -3.0);
+    EXPECT_EQ(args.getInt("e", 9), 9) << "an empty value reads as absent";
 }

@@ -40,10 +40,8 @@ TEST(Serve, SkippedOnWindows) { GTEST_SKIP(); }
 #include <unistd.h>
 #include <vector>
 
-#include "common/cli.hh"
 #include "common/io.hh"
 #include "common/json.hh"
-#include "core/backend.hh"
 #include "core/job_manager.hh"
 #include "core/report.hh"
 #include "serve/socket.hh"
@@ -85,10 +83,10 @@ fileExists(const std::string &path)
 }
 
 /** The small search config every scenario uses unless noted. */
-core::JobSpec
+core::RunSpec
 smallSpec(std::uint64_t seed, const std::string &csv_prefix)
 {
-    core::JobSpec spec;
+    core::RunSpec spec;
     spec.models = {"resnet"};
     spec.algo = "unico";
     spec.batch = 8;
@@ -105,15 +103,12 @@ smallSpec(std::uint64_t seed, const std::string &csv_prefix)
  * contract is pinned against.
  */
 void
-referenceRun(const core::JobSpec &spec)
+referenceRun(const core::RunSpec &spec)
 {
     std::vector<workload::Network> nets;
     for (const auto &m : spec.models)
         nets.push_back(workload::makeNetwork(m));
-    const char *argv[] = {"ref"};
-    const common::CliArgs args(1, argv);
-    core::BackendOptions opt =
-        core::parseBackendOptions(spec.backend, args);
+    const core::BackendOptions opt = core::backendOptions(spec);
     const auto env =
         core::makeBackendEnv(spec.backend, std::move(nets), opt);
 
@@ -167,12 +162,12 @@ awaitStatus(core::JobManager &mgr, std::uint64_t id, Pred pred,
 
 } // namespace
 
-TEST(JobSpecJson, ParsesScalarsAndLists)
+TEST(RunSpecJson, ParsesScalarsAndLists)
 {
     const auto doc = common::Json::parse(
         "{\"name\":\"n1\",\"model\":\"resnet\",\"algo\":\"sh\","
         "\"iters\":3,\"seed\":9,\"csv_prefix\":\"/tmp/x\"}");
-    const core::JobSpec spec = core::jobSpecFromJson(doc);
+    const core::RunSpec spec = core::runSpecFromJson(doc);
     EXPECT_EQ(spec.name, "n1");
     ASSERT_EQ(spec.models.size(), 1u);
     EXPECT_EQ(spec.models[0], "resnet");
@@ -182,23 +177,23 @@ TEST(JobSpecJson, ParsesScalarsAndLists)
 
     const auto multi = common::Json::parse(
         "{\"models\":[\"resnet\",\"bert\"],\"workloads\":[\"w.csv\"]}");
-    const core::JobSpec spec2 = core::jobSpecFromJson(multi);
+    const core::RunSpec spec2 = core::runSpecFromJson(multi);
     EXPECT_EQ(spec2.models.size(), 2u);
     EXPECT_EQ(spec2.workloads.size(), 1u);
 
     // Round trip: toJson -> fromJson preserves the spec fields.
-    const core::JobSpec spec3 =
-        core::jobSpecFromJson(core::toJson(spec));
+    const core::RunSpec spec3 =
+        core::runSpecFromJson(core::toJson(spec));
     EXPECT_EQ(spec3.models, spec.models);
     EXPECT_EQ(spec3.algo, spec.algo);
     EXPECT_EQ(spec3.iters, spec.iters);
     EXPECT_EQ(spec3.seed, spec.seed);
 }
 
-TEST(JobSpecJson, RejectsUnknownFieldByName)
+TEST(RunSpecJson, RejectsUnknownFieldByName)
 {
     try {
-        core::jobSpecFromJson(
+        core::runSpecFromJson(
             common::Json::parse("{\"model\":\"resnet\",\"bogus\":1}"));
         FAIL() << "unknown field accepted";
     } catch (const std::exception &e) {
@@ -216,29 +211,29 @@ TEST(JobManagerSubmit, TypedRejections)
     core::JobManager mgr(cfg);
 
     // BadSpec: empty workload set, unknown algorithm, bad resume.
-    core::JobSpec empty;
+    core::RunSpec empty;
     EXPECT_EQ(mgr.submit(empty).error, core::SubmitError::BadSpec);
 
-    core::JobSpec bad_algo = smallSpec(1, "");
+    core::RunSpec bad_algo = smallSpec(1, "");
     bad_algo.algo = "bogus";
     const auto rej = mgr.submit(bad_algo);
     EXPECT_EQ(rej.error, core::SubmitError::BadSpec);
     EXPECT_NE(rej.message.find("unknown algorithm"), std::string::npos);
 
-    core::JobSpec bad_resume = smallSpec(1, "");
+    core::RunSpec bad_resume = smallSpec(1, "");
     bad_resume.resume = true;
     EXPECT_EQ(mgr.submit(bad_resume).error,
               core::SubmitError::BadSpec);
 
-    // Backend option validation flows through the CLI parser.
-    core::JobSpec bad_scenario = smallSpec(1, "");
+    // Backend options are checked by the validate() the CLI uses.
+    core::RunSpec bad_scenario = smallSpec(1, "");
     bad_scenario.scenario = "marsbase";
     EXPECT_EQ(mgr.submit(bad_scenario).error,
               core::SubmitError::BadSpec);
 
     // QueueFull: one long-running job occupies the single scheduler,
     // two fit in the queue, the next is rejected.
-    core::JobSpec longjob = smallSpec(2, "");
+    core::RunSpec longjob = smallSpec(2, "");
     longjob.iters = 500;
     const auto running = mgr.submit(longjob);
     ASSERT_TRUE(running.ok());
@@ -270,8 +265,8 @@ TEST(JobManagerIsolation, ConcurrentJobsMatchSerialByteForByte)
 {
     const std::string dir = makeTempDir("conc");
 
-    core::JobSpec spec1 = smallSpec(11, dir + "/ref1");
-    core::JobSpec spec2 = smallSpec(22, dir + "/ref2");
+    core::RunSpec spec1 = smallSpec(11, dir + "/ref1");
+    core::RunSpec spec2 = smallSpec(22, dir + "/ref2");
     referenceRun(spec1);
     referenceRun(spec2);
 
@@ -310,7 +305,7 @@ TEST(JobManagerIsolation, CancelMidRunDoesNotPerturbSurvivor)
 {
     const std::string dir = makeTempDir("cancel");
 
-    core::JobSpec survivor_ref = smallSpec(33, dir + "/ref");
+    core::RunSpec survivor_ref = smallSpec(33, dir + "/ref");
     referenceRun(survivor_ref);
 
     accel::EvalCache cache(8 * 1024 * 1024);
@@ -320,13 +315,13 @@ TEST(JobManagerIsolation, CancelMidRunDoesNotPerturbSurvivor)
     cfg.shutdownFanout = false;
     core::JobManager mgr(cfg);
 
-    core::JobSpec victim = smallSpec(44, "");
+    core::RunSpec victim = smallSpec(44, "");
     victim.iters = 500;
     victim.checkpoint = dir + "/victim_ck.json";
     const auto vs = mgr.submit(victim);
     ASSERT_TRUE(vs.ok());
 
-    core::JobSpec survivor = survivor_ref;
+    core::RunSpec survivor = survivor_ref;
     survivor.csvPrefix = dir + "/mgr";
     const auto ss = mgr.submit(survivor);
     ASSERT_TRUE(ss.ok());
@@ -360,7 +355,7 @@ TEST(JobManagerLifecycle, PauseParksAndResumeContinues)
     cfg.shutdownFanout = false;
     core::JobManager mgr(cfg);
 
-    core::JobSpec spec = smallSpec(7, "");
+    core::RunSpec spec = smallSpec(7, "");
     spec.iters = 500;
     const auto sub = mgr.submit(spec);
     ASSERT_TRUE(sub.ok());
